@@ -25,7 +25,6 @@ for CI (`pytest benchmarks/test_microbench_parallel.py -k smoke`).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 
@@ -37,7 +36,6 @@ from repro.core.equivalence import instance_equivalence_pass
 from repro.core.functionality import FunctionalityOracle
 from repro.core.literal_index import LiteralIndex
 from repro.core.matrix import SubsumptionMatrix
-from repro.core.parallel import parallel_instance_equivalence_pass
 from repro.core.store import EquivalenceStore
 from repro.core.subrelations import subrelation_pass
 from repro.core.vectorized import HAVE_NUMPY, VectorizedKernel
@@ -113,13 +111,9 @@ def _scores(store):
 
 
 def _assert_scores_match(actual, expected):
-    """Bit-exact under fork; ≈1 ulp under spawn (see repro.core.parallel)."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        assert actual == expected
-        return
-    assert actual.keys() == expected.keys()
-    for key, probability in expected.items():
-        assert abs(actual[key] - probability) <= 1e-12, key
+    """Bit-exact: the pool (or, without fork, the sequential path) never
+    changes a score."""
+    assert actual == expected
 
 
 def _result_scores(result):
@@ -233,7 +227,7 @@ def test_parallel_speedup_curve():
         result = align(
             pair.ontology1,
             pair.ontology2,
-            ParisConfig(workers=workers, parallel_backend="process"),
+            ParisConfig(workers=workers),
         )
         seconds = time.perf_counter() - started
         got = _result_scores(result)
@@ -297,14 +291,13 @@ def test_parallel_speedup_curve():
 
 
 def test_parallel_smoke_two_workers():
-    """CI smoke: 2 process workers, exact equality, modest workload.
-
-    Exercises the *legacy* per-pass executor (kept as the reference
-    engine and the spawn-platform fallback); the persistent pool's
-    exactness smoke lives in tests/test_vectorized.py.
-    """
-    inputs = _pass_inputs(num_persons=300, num_works=150, seed=11)
-    sequential = instance_equivalence_pass(*inputs)
-    parallel = parallel_instance_equivalence_pass(*inputs, workers=2, backend="process")
-    _assert_scores_match(_scores(parallel), _scores(sequential))
-    assert len(parallel) > 0
+    """CI smoke: a full cold align on the 2-worker pool, exact equality
+    on every surface against ``workers=1``, modest workload."""
+    pair = yago_dbpedia_pair(num_persons=300, num_works=150, seed=11)
+    sequential = align(pair.ontology1, pair.ontology2, ParisConfig(workers=1))
+    parallel = align(pair.ontology1, pair.ontology2, ParisConfig(workers=2))
+    expected = _result_scores(sequential)
+    got = _result_scores(parallel)
+    for surface, scores in expected.items():
+        _assert_scores_match(got[surface], scores)
+    assert expected["instances"]

@@ -52,14 +52,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 from typing import List, Optional, Tuple
 
 from . import __version__
 from .core.aligner import align
-from .core.config import ParisConfig
-from .core.parallel import BACKENDS
+from .core.config import ConfigError, ParisConfig
 from .io.alignment_io import save_result, write_sameas_links
 from .obs import get_event_logger
 from .obs.logging import LOG_FORMATS, LOG_LEVELS, setup_logging
@@ -117,8 +117,6 @@ def _build_config(args: argparse.Namespace) -> ParisConfig:
         use_negative_evidence=args.negative_evidence,
         use_name_prior=args.name_prior,
         workers=args.workers,
-        shard_size=args.shard_size,
-        parallel_backend=args.parallel_backend,
     )
 
 
@@ -294,8 +292,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
         max_iterations=4,
         convergence_threshold=0.0,
         workers=args.workers,
-        shard_size=args.shard_size,
-        parallel_backend=args.parallel_backend,
     )
     result = align(pair.ontology1, pair.ontology2, config)
     print(render_iteration_table(result, pair.gold))
@@ -325,13 +321,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         state = load_state(state_dir)
         # Model knobs (theta, similarity, ...) are part of the snapshot
         # and must not drift under a resumed state; the runtime-only
-        # parallel knobs follow the command line, as for a cold start.
-        state.config = replace(
-            state.config,
-            workers=args.workers,
-            shard_size=args.shard_size,
-            parallel_backend=args.parallel_backend,
-        )
+        # worker count follows the command line, as for a cold start.
+        state.config = replace(state.config, workers=args.workers)
         _log.info(
             "resumed alignment state (model settings come from the snapshot)",
             version=state.version,
@@ -478,18 +469,13 @@ def cmd_replica(args: argparse.Namespace) -> int:
     from .service.replica import ReplicaNode
     from .service.server import build_server
 
-    overrides = {
-        "workers": args.workers,
-        "shard_size": args.shard_size,
-        "parallel_backend": args.parallel_backend,
-    }
     replica = ReplicaNode(
         args.source,
         state_dir=args.state_dir,
         poll_interval=args.poll_ms / 1000.0,
         batch=args.replica_batch,
         snapshot_every=args.snapshot_every,
-        config_overrides=overrides,
+        config_overrides={"workers": args.workers},
     )
     _log.info(
         "replica bootstrapped",
@@ -991,19 +977,10 @@ def cmd_wal_compact(args: argparse.Namespace) -> int:
     return 0
 
 
-def add_parallel_options(subparser: argparse.ArgumentParser) -> None:
-    """Knobs of the sharded instance-pass engine (repro.core.parallel).
-
-    The engine guarantees scores equal to the sequential path, so these
-    only trade wall-clock for processes/threads.
-    """
+def add_workers_option(subparser: argparse.ArgumentParser) -> None:
+    """``--workers``: processes for every pass (scores never depend on it)."""
     subparser.add_argument("--workers", type=int, default=1,
-                           help="instance-pass workers (default 1: sequential)")
-    subparser.add_argument("--shard-size", type=int, default=None,
-                           help="instances per shard (default: derived)")
-    subparser.add_argument("--parallel-backend", choices=list(BACKENDS),
-                           default="process",
-                           help="executor backend for --workers > 1")
+                           help="worker processes per pass (default 1: sequential)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1041,7 +1018,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="seed relation priors from relation names")
     align_parser.add_argument("--print-pairs", action="store_true",
                               help="print matched instance pairs to stdout")
-    add_parallel_options(align_parser)
+    add_workers_option(align_parser)
     align_parser.set_defaults(handler=cmd_align)
 
     def add_model_options(subparser: argparse.ArgumentParser) -> None:
@@ -1051,7 +1028,7 @@ def build_parser() -> argparse.ArgumentParser:
                                default="identity")
         subparser.add_argument("--negative-evidence", action="store_true")
         subparser.add_argument("--name-prior", action="store_true")
-        add_parallel_options(subparser)
+        add_workers_option(subparser)
 
     multi_parser = commands.add_parser(
         "multi", help="align three or more ontologies into entity clusters"
@@ -1101,7 +1078,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo_parser = commands.add_parser("demo", help="run a paper benchmark")
     demo_parser.add_argument("benchmark",
                              choices=["person", "restaurant", "kb", "movies"])
-    add_parallel_options(demo_parser)
+    add_workers_option(demo_parser)
     demo_parser.set_defaults(handler=cmd_demo)
 
     serve_parser = commands.add_parser(
@@ -1189,7 +1166,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "Nth applied batch (0: only on shutdown; "
                                      "needs --state-dir)")
     _add_audit_options(replica_parser)
-    add_parallel_options(replica_parser)
+    add_workers_option(replica_parser)
     replica_parser.set_defaults(handler=cmd_replica)
 
     route_parser = commands.add_parser(
@@ -1313,7 +1290,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     setup_logging(level=args.log_level, log_format=args.log_format)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ConfigError as error:
+        # An out-of-range flag value is a usage error, not a crash.
+        print(f"{parser.prog} {args.command}: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

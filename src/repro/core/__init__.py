@@ -10,10 +10,6 @@ Public entry points:
 * the individual passes (:func:`instance_equivalence_pass`,
   :func:`subrelation_pass`, :func:`subclass_pass`) for ablations and
   step-by-step inspection,
-* the sharded parallel instance and relation passes
-  (:func:`parallel_instance_equivalence_pass`,
-  :func:`parallel_subrelation_pass`, :func:`partition_instances`) with
-  their sequential-equivalence guarantee,
 * the incremental machinery behind the alignment service
   (:class:`IncrementalRelationPass` and
   :meth:`ParisAligner.warm_align` — delta-driven warm-start fixpoints
@@ -36,13 +32,6 @@ from .functionality import (
 from .literal_index import LiteralIndex
 from .matrix import SubsumptionMatrix
 from .multi import EntityCluster, MultiAligner, MultiAlignmentResult, align_many
-from .parallel import (
-    parallel_instance_equivalence_pass,
-    parallel_score_instances,
-    parallel_subrelation_pass,
-    partition_instances,
-    partition_ordered,
-)
 from .priors import name_prior_matrix, name_similarity, name_tokens
 from .result import AlignmentResult, Assignment, IterationSnapshot
 from .store import EquivalenceStore
@@ -70,11 +59,6 @@ __all__ = [
     "score_instance",
     "negative_evidence_factor",
     "instance_equivalence_pass",
-    "parallel_instance_equivalence_pass",
-    "parallel_score_instances",
-    "parallel_subrelation_pass",
-    "partition_instances",
-    "partition_ordered",
     "IncrementalRelationPass",
     "RowChange",
     "score_relation",

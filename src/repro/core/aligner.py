@@ -13,15 +13,14 @@ Convergence is declared when fewer than ``convergence_threshold`` of
 the instances change their maximal assignment (Section 6.1).  After the
 fixpoint, class inclusions are computed once (Eq. 17, Section 4.3).
 
-Both passes can run sharded across workers (``ParisConfig.workers`` /
-``shard_size`` / ``parallel_backend``), mirroring the paper's "in
-parallel on all available processors" (Section 5.1/6.2).  The parallel
-engine (:mod:`repro.core.parallel`) guarantees scores equal to the
-sequential passes: instances (and relations) are scored independently
-against frozen previous-iteration views and merged in deterministic
-shard order, and ``workers=1`` short-circuits to the bit-identical
-sequential code paths.  The guarantee is enforced by
-``tests/test_parallel.py`` and ``tests/test_parallel_properties.py``.
+With ``ParisConfig.workers > 1`` every pass runs on the fork-once
+:class:`~repro.core.parallel.WorkerPool`, mirroring the paper's "in
+parallel on all available processors" (Section 5.1/6.2).  The pool
+needs the vectorized kernel and ``fork``; without them each pass runs
+sequentially on the dict code.  Every route fills the stores in the
+sequential insertion order, so ``workers`` never changes a score
+(enforced by ``tests/test_parallel.py`` and
+``tests/test_parallel_properties.py``).
 
 Incremental service mode
 ------------------------
@@ -42,13 +41,13 @@ run reaches, at a fraction of the work for small deltas.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..obs.trace import Span, root_span, span
 from ..rdf.ontology import Ontology
 from ..rdf.terms import Node, Relation, Resource
 from .config import ParisConfig
-from .equivalence import ordered_instances
+from .equivalence import instance_equivalence_pass, ordered_instances, score_instances
 from .functionality import FunctionalityOracle
 from .incremental import (
     IncrementalRelationPass,
@@ -57,19 +56,10 @@ from .incremental import (
 )
 from .literal_index import LiteralIndex
 from .matrix import SubsumptionMatrix
-from .parallel import (
-    SHARDS_PER_WORKER,
-    WorkerPool,
-    even_ranges,
-    parallel_instance_equivalence_pass,
-    parallel_score_instances,
-    parallel_subclass_pass,
-    parallel_subrelation_pass,
-)
+from .parallel import WorkerPool, fork_available, parallel_subrelation_pass
 from .result import AlignmentResult, IterationSnapshot
 from .store import EquivalenceStore
 from .subclasses import IncrementalClassPass, subclass_pass
-from .subrelations import apply_relation_scores
 from .vectorized import HAVE_NUMPY, VectorizedKernel
 from .view import EquivalenceView
 
@@ -188,32 +178,38 @@ class ParisAligner:
             return None
         return self._kernel_for()
 
-    def _ensure_pool(self, kernel: VectorizedKernel) -> Optional[WorkerPool]:
+    def _pool_for(self, kernel: VectorizedKernel) -> Optional[WorkerPool]:
         """The persistent pool for this run, forked against ``kernel``.
 
-        Returns ``None`` when the configuration does not call for
-        process parallelism (or ``fork`` is unavailable); an existing
-        pool is reused only while its fork image matches the kernel's
-        ontology versions — anything staler is closed and re-forked.
+        Returns ``None`` for ``workers=1`` or without ``fork``; an
+        existing pool is reused only while its fork image matches the
+        kernel's ontology versions — anything staler is closed and
+        re-forked.
         """
-        config = self.config
-        if config.workers < 2 or config.parallel_backend != "process":
-            return None
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
+        if self.config.workers < 2 or not fork_available():
             return None
         pool = self._pool
         if pool is not None and pool.versions == kernel.versions:
             return pool
         self._close_pool()
         pool = WorkerPool(
-            config.workers,
-            (self.ontology1, self.ontology2, self.literals2, self.literals1, kernel),
-            versions=kernel.versions,
+            self.config.workers,
+            self.ontology1,
+            self.ontology2,
+            self.literals2,
+            self.literals1,
+            kernel,
         )
         self._pool = pool
         return pool
+
+    def _live_pool(self) -> Optional[WorkerPool]:
+        """The pool for a relation/class pass: only over a fresh kernel
+        (those passes ship the view store as the kernel's ids)."""
+        kernel = self._kernel
+        if kernel is None or not kernel.fresh():
+            return None
+        return self._pool_for(kernel)
 
     def _close_pool(self) -> None:
         pool = self._pool
@@ -246,19 +242,12 @@ class ParisAligner:
         rel12: SubsumptionMatrix[Relation],
         rel21: SubsumptionMatrix[Relation],
     ) -> EquivalenceStore:
-        """One instance pass, routed to the fastest bit-exact engine.
-
-        With the vectorized kernel available the scores come from
-        :meth:`VectorizedKernel.score_ids` — in-process, or sharded
-        over the persistent pool for ``workers > 1`` with the process
-        backend.  Both fill the store in the sequential emission order,
-        so every route is bit-identical to the dict reference pass
-        (which remains the fallback).
-        """
+        """One full instance pass: the kernel (on the pool for
+        ``workers > 1``) when it is allowed, else the dict pass."""
         config = self.config
         kernel = self._kernel_for()
         if kernel is None:
-            return parallel_instance_equivalence_pass(
+            return instance_equivalence_pass(
                 self.ontology1,
                 self.ontology2,
                 view,
@@ -268,77 +257,55 @@ class ParisAligner:
                 rel21,
                 truncation_threshold=config.theta,
                 use_negative_evidence=config.use_negative_evidence,
-                workers=config.workers,
-                shard_size=config.shard_size,
-                backend=config.parallel_backend,
             )
+        store = EquivalenceStore(config.theta)
+        self._kernel_score(kernel, kernel.ordered_ids, view, rel12, rel21, store.update)
+        return store
+
+    def _kernel_score(
+        self,
+        kernel: VectorizedKernel,
+        ids,
+        view: EquivalenceView,
+        rel12: SubsumptionMatrix[Relation],
+        rel21: SubsumptionMatrix[Relation],
+        merge: Callable[[List[Tuple[Resource, Resource, float]]], None],
+        use_pool: bool = True,
+    ) -> None:
+        """Score instance ``ids`` with the kernel and hand the entries
+        to ``merge`` in the sequential emission order — sharded over
+        the pool when ``use_pool`` and one is configured, in-process
+        otherwise.  Both routes are bit-identical to the dict pass."""
+        theta = self.config.theta
         with span("kernel.prepare"):
             prepared = kernel.prepare_pass(view.store, rel12, rel21)
-        store = EquivalenceStore(config.theta)
-        pool = self._ensure_pool(kernel)
+        pool = self._pool_for(kernel) if use_pool else None
         if pool is not None:
-            payload = {
-                "kind": "instances",
-                "prepared": prepared,
-                "theta": config.theta,
-                "ids": kernel.ordered_ids,
-            }
-            tasks = kernel.task_ranges(
-                kernel.ordered_ids, prepared, config.workers * SHARDS_PER_WORKER
-            )
-            # Merging interleaves with result arrival, so the merge cost
-            # rides the score span as an annotation instead of a child.
-            with span("kernel.score", engine="pool", tasks=len(tasks)) as sp:
+            # Merging interleaves with result handling, so the merge
+            # cost rides the score span as an annotation, not a child.
+            with span("kernel.score", engine="pool") as sp:
                 merge_seconds = 0.0
-                for result in pool.run_pass(payload, tasks):
+                results = pool.score_instances(ids, prepared, theta)
+                for result in results:
                     merge_started = time.perf_counter()
-                    store.update(kernel.entries_for(*result))
+                    merge(kernel.entries_for(*result))
                     merge_seconds += time.perf_counter() - merge_started
-                sp.annotate(merge_s=round(merge_seconds, 6))
-            return store
+                sp.annotate(tasks=len(results), merge_s=round(merge_seconds, 6))
+            return
         with span("kernel.score", engine="inprocess"):
-            scored = kernel.score_ids(kernel.ordered_ids, prepared, config.theta)
+            scored = kernel.score_ids(ids, prepared, theta)
         with span("kernel.merge"):
-            store.update(kernel.entries_for(*scored))
-        return store
+            merge(kernel.entries_for(*scored))
 
     def _relation_pass(
         self, view: EquivalenceView, reverse: bool = False
     ) -> SubsumptionMatrix[Relation]:
-        """One direction of the relation pass, sharded like the
-        instance pass when ``config.workers > 1`` — over the persistent
-        pool when it is live (workers rebuild the view from shipped id
-        arrays instead of re-pickling the ontologies)."""
+        """One direction of the Eq. 12 relation pass (on the pool when
+        one is live)."""
         config = self.config
         first, second = (
             (self.ontology2, self.ontology1) if reverse else (self.ontology1, self.ontology2)
         )
-        kernel = self._kernel
-        if kernel is not None and kernel.fresh():
-            pool = self._ensure_pool(kernel)
-            if pool is not None:
-                lowered = kernel.lower_store(view.store)
-                if lowered is not None:
-                    relations = first.relations(include_inverses=True)
-                    matrix: SubsumptionMatrix[Relation] = SubsumptionMatrix()
-                    payload = {
-                        "kind": "relations",
-                        "store": lowered,
-                        "threshold": view.store.truncation_threshold,
-                        "reverse": reverse,
-                        "max_pairs": config.max_pairs_per_relation,
-                    }
-                    tasks = even_ranges(
-                        len(relations), config.workers * SHARDS_PER_WORKER
-                    )
-                    for scored in pool.run_pass(payload, tasks):
-                        apply_relation_scores(
-                            matrix,
-                            [(relations[index], row) for index, row in scored],
-                            config.theta,
-                            config.theta,
-                        )
-                    return matrix
         return parallel_subrelation_pass(
             first,
             second,
@@ -347,63 +314,41 @@ class ParisAligner:
             max_pairs=config.max_pairs_per_relation,
             reverse=reverse,
             bootstrap_theta=config.theta,
-            workers=config.workers,
-            backend=config.parallel_backend,
+            pool=self._live_pool(),
         )
 
     def _class_pass(
         self, view: EquivalenceView, reverse: bool = False
     ) -> SubsumptionMatrix[Resource]:
-        """One direction of the Eq. 17 class pass, parallelized like
-        the other passes (pool for the process backend, sharded threads
-        otherwise).  Classes traverse in set order on every route, so
-        the matrix insertion order matches the sequential pass."""
+        """One direction of the Eq. 17 class pass (on the pool when one
+        is live).  Classes traverse in set order on both routes, so the
+        matrix insertion order matches the sequential pass."""
         config = self.config
         theta = config.theta
         first, second = (
             (self.ontology2, self.ontology1) if reverse else (self.ontology1, self.ontology2)
         )
-        kernel = self._kernel
-        if kernel is not None and kernel.fresh() and config.workers > 1:
-            pool = self._ensure_pool(kernel)
-            if pool is not None:
-                lowered = kernel.lower_store(view.store)
-                if lowered is not None:
-                    classes = list(first.classes)
-                    matrix: SubsumptionMatrix[Resource] = SubsumptionMatrix()
-                    payload = {
-                        "kind": "classes",
-                        "store": lowered,
-                        "threshold": view.store.truncation_threshold,
-                        "reverse": reverse,
-                        "max_instances": config.max_pairs_per_relation,
-                    }
-                    tasks = even_ranges(len(classes), config.workers * SHARDS_PER_WORKER)
-                    for scored in pool.run_pass(payload, tasks):
-                        for cls, scores in scored:
-                            for cls2, score in scores.items():
-                                if score >= theta:
-                                    matrix.set(cls, cls2, score)
-                    return matrix
-        if config.workers > 1 and config.parallel_backend == "thread":
-            return parallel_subclass_pass(
+        pool = self._live_pool()
+        rows = (
+            pool.class_rows(view.store, reverse, config.max_pairs_per_relation)
+            if pool is not None
+            else None
+        )
+        if rows is None:
+            return subclass_pass(
                 first,
                 second,
                 view,
                 truncation_threshold=theta,
                 max_instances=config.max_pairs_per_relation,
                 reverse=reverse,
-                workers=config.workers,
-                shard_size=config.shard_size,
             )
-        return subclass_pass(
-            first,
-            second,
-            view,
-            truncation_threshold=theta,
-            max_instances=config.max_pairs_per_relation,
-            reverse=reverse,
-        )
+        matrix: SubsumptionMatrix[Resource] = SubsumptionMatrix()
+        for cls, scores in rows:
+            for cls2, score in scores.items():
+                if score >= theta:
+                    matrix.set(cls, cls2, score)
+        return matrix
 
     def _score_frontier(
         self,
@@ -421,7 +366,7 @@ class ParisAligner:
         config = self.config
         kernel = self._warm_kernel(len(ordered_dirty))
         if kernel is None:
-            return parallel_score_instances(
+            return score_instances(
                 ordered_dirty,
                 self.ontology1,
                 self.ontology2,
@@ -432,38 +377,18 @@ class ParisAligner:
                 rel21,
                 config.theta,
                 config.use_negative_evidence,
-                workers=config.workers,
-                shard_size=config.shard_size,
-                backend=config.parallel_backend,
             )
-        with span("kernel.prepare"):
-            prepared = kernel.prepare_pass(view.store, rel12, rel21)
-        ids = kernel.ids_for(ordered_dirty)
-        if len(ordered_dirty) >= POOL_MIN_FRONTIER:
-            pool = self._ensure_pool(kernel)
-            if pool is not None:
-                payload = {
-                    "kind": "instances",
-                    "prepared": prepared,
-                    "theta": config.theta,
-                    "ids": ids,
-                }
-                tasks = kernel.task_ranges(
-                    ids, prepared, config.workers * SHARDS_PER_WORKER
-                )
-                entries: List[Tuple[Resource, Resource, float]] = []
-                with span("kernel.score", engine="pool", tasks=len(tasks)) as sp:
-                    merge_seconds = 0.0
-                    for result in pool.run_pass(payload, tasks):
-                        merge_started = time.perf_counter()
-                        entries.extend(kernel.entries_for(*result))
-                        merge_seconds += time.perf_counter() - merge_started
-                    sp.annotate(merge_s=round(merge_seconds, 6))
-                return entries
-        with span("kernel.score", engine="inprocess"):
-            scored = kernel.score_ids(ids, prepared, config.theta)
-        with span("kernel.merge"):
-            return kernel.entries_for(*scored)
+        entries: List[Tuple[Resource, Resource, float]] = []
+        self._kernel_score(
+            kernel,
+            kernel.ids_for(ordered_dirty),
+            view,
+            rel12,
+            rel21,
+            entries.extend,
+            use_pool=len(ordered_dirty) >= POOL_MIN_FRONTIER,
+        )
+        return entries
 
     def _dampen(
         self, old_store: EquivalenceStore, new_store: EquivalenceStore

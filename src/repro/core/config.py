@@ -12,10 +12,15 @@ Section 6.3 / Appendix A ablations can toggle them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..literals import IdentitySimilarity, LiteralSimilarity
 from .functionality import FunctionalityDefinition
+
+
+class ConfigError(ValueError):
+    """An out-of-range :class:`ParisConfig` setting (the CLI reports it
+    as a usage error)."""
+
 
 #: Eq. 13 scoring engines selectable via ``ParisConfig.scoring``.
 SCORING_MODES = ("auto", "dict", "vectorized")
@@ -82,20 +87,14 @@ class ParisConfig:
         per-iteration evaluation (costs memory proportional to the
         number of matched instances per iteration).
     workers:
-        Worker count for the instance pass (Section 5.1 runs it "in
-        parallel on all available processors").  ``1`` (default) keeps
-        the bit-identical sequential path; larger values shard the
-        instances across workers via :mod:`repro.core.parallel`, with
-        scores guaranteed equal to the sequential engine (see that
-        module's docstring for the exactness guarantee).
-    shard_size:
-        Instances per shard for the parallel engine; ``None`` derives a
-        size from the worker count.  Setting it with ``workers=1``
-        exercises the shard/merge pipeline in-process.
-    parallel_backend:
-        ``"process"`` (default; real multi-core speedup through the
-        persistent fork-once worker pool) or ``"thread"`` (shared
-        memory, GIL-bound — useful for testing and small inputs).
+        Worker processes for every pass (Section 5.1 runs them "in
+        parallel on all available processors").  ``1`` (default) runs
+        in-process.  Larger values take effect only when the
+        vectorized kernel runs (numpy present, ``scoring`` not
+        ``"dict"``, negative evidence off) and the platform offers the
+        ``fork`` start method: the passes then shard over the fork-once
+        :class:`~repro.core.parallel.WorkerPool`.  Otherwise every pass
+        runs sequentially.  Scores never depend on this knob.
     scoring:
         Which Eq. 13 scoring engine the aligner uses.  ``"auto"``
         (default) picks the interned-ID vectorized kernel
@@ -145,8 +144,6 @@ class ParisConfig:
     detect_cycles: bool = True
     keep_snapshots: bool = True
     workers: int = 1
-    shard_size: Optional[int] = None
-    parallel_backend: str = "process"
     scoring: str = "auto"
     score_stationarity: bool = False
     warm_tolerance: float = 1e-12
@@ -157,54 +154,45 @@ class ParisConfig:
         self.validate()
 
     def validate(self) -> None:
-        """Raise ``ValueError`` on out-of-range settings."""
+        """Raise :class:`ConfigError` on out-of-range settings."""
         if not 0.0 < self.theta < 1.0:
-            raise ValueError(f"theta must be in (0, 1), got {self.theta}")
+            raise ConfigError(f"theta must be in (0, 1), got {self.theta}")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ConfigError("max_iterations must be >= 1")
         if not 0.0 <= self.convergence_threshold <= 1.0:
-            raise ValueError("convergence_threshold must be in [0, 1]")
+            raise ConfigError("convergence_threshold must be in [0, 1]")
         if self.max_pairs_per_relation < 1:
-            raise ValueError("max_pairs_per_relation must be >= 1")
+            raise ConfigError("max_pairs_per_relation must be >= 1")
         if not 0.0 <= self.dampening < 1.0:
-            raise ValueError("dampening must be in [0, 1)")
+            raise ConfigError("dampening must be in [0, 1)")
         if self.use_name_prior and not self.theta <= self.name_prior_max <= 1.0:
-            raise ValueError(
+            raise ConfigError(
                 "name_prior_max must be in [theta, 1] when use_name_prior is on"
             )
         if not isinstance(self.functionality, FunctionalityDefinition):
             raise TypeError("functionality must be a FunctionalityDefinition")
         if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.shard_size is not None and self.shard_size < 1:
-            raise ValueError(f"shard_size must be >= 1, got {self.shard_size}")
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if not 0.0 <= self.warm_tolerance < 1.0:
-            raise ValueError(f"warm_tolerance must be in [0, 1), got {self.warm_tolerance}")
+            raise ConfigError(f"warm_tolerance must be in [0, 1), got {self.warm_tolerance}")
         if not 0.0 < self.warm_full_pass_fraction <= 1.0:
-            raise ValueError(
+            raise ConfigError(
                 "warm_full_pass_fraction must be in (0, 1], "
                 f"got {self.warm_full_pass_fraction}"
             )
         if self.warm_max_iterations < 1:
-            raise ValueError("warm_max_iterations must be >= 1")
-        from .parallel import BACKENDS
-
-        if self.parallel_backend not in BACKENDS:
-            raise ValueError(
-                f"parallel_backend must be one of {BACKENDS}, "
-                f"got {self.parallel_backend!r}"
-            )
+            raise ConfigError("warm_max_iterations must be >= 1")
         if self.scoring not in SCORING_MODES:
-            raise ValueError(
+            raise ConfigError(
                 f"scoring must be one of {SCORING_MODES}, got {self.scoring!r}"
             )
         if self.scoring == "vectorized":
             from .vectorized import HAVE_NUMPY
 
             if not HAVE_NUMPY:
-                raise ValueError("scoring='vectorized' requires numpy")
+                raise ConfigError("scoring='vectorized' requires numpy")
             if self.use_negative_evidence:
-                raise ValueError(
+                raise ConfigError(
                     "scoring='vectorized' cannot run negative evidence "
                     "(Eq. 14 reads arbitrary statements); use scoring='auto' "
                     "or 'dict'"

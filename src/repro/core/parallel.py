@@ -1,17 +1,25 @@
-"""Sharded parallel engines for the PARIS passes (Section 5.1).
+"""The fork-once worker pool: the one parallel route of the passes (Section 5.1).
 
-Two engines exploit the passes' iteration-level independence: the
-per-pass executor functions (reference implementation; deterministic
-contiguous shards on a thread/process executor) and the persistent
-fork-once :class:`WorkerPool` (production; copy-on-write inheritance,
-``(lo, hi)`` task ranges, compact score arrays — nothing re-pickles
-an ontology).  Sequential and parallel runs fill the store in the
-same insertion order, so results are bit-identical; the pool refuses
-to run without ``fork``.  The full design rationale and the
-bit-identity argument live in ``docs/architecture.md`` (section "The
-core: one pass, three engines"); the guarantee is enforced by
-``tests/test_parallel.py`` / ``tests/test_parallel_properties.py`` /
-``tests/test_vectorized.py``.
+Scores of one iteration depend only on the previous iteration's
+equivalences, never on each other, so every pass can be cut into
+contiguous index ranges and scored on "all available processors".
+:class:`WorkerPool` forks its workers once per run; they inherit the
+ontologies, literal indexes and the vectorized kernel through
+copy-on-write memory, each pass broadcasts one small payload, tasks
+are bare ``(lo, hi)`` ranges, and results merge strictly in task
+order — nothing re-pickles an ontology, and every route fills the
+stores in the sequential insertion order, so results are
+bit-identical to ``workers=1``.  The pool needs the vectorized kernel
+and the ``fork`` start method; any pass without them runs
+sequentially on the dict code, which otherwise survives only as the
+bit-exactness oracle.  The design and the bit-identity argument live
+in ``docs/architecture.md`` (section "The core: one engine per pass");
+the guarantee is enforced by ``tests/test_parallel.py`` /
+``tests/test_parallel_properties.py`` / ``tests/test_vectorized.py``.
+
+The pool's payload format (one dict per pass, keyed by ``"kind"``) is
+private to this module: callers go through :meth:`WorkerPool.score_instances`,
+:meth:`WorkerPool.relation_rows` and :meth:`WorkerPool.class_rows`.
 """
 
 from __future__ import annotations
@@ -20,397 +28,27 @@ import math
 import multiprocessing
 import queue as queue_module
 import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..rdf.ontology import Ontology
 from ..rdf.terms import Relation, Resource
-from .equivalence import (
-    instance_equivalence_pass,
-    ordered_instances,
-    score_instances,
-)
-from .functionality import FunctionalityOracle
+from .literal_index import LiteralIndex
 from .matrix import SubsumptionMatrix
 from .store import EquivalenceStore
-from .subclasses import closed_classes_of, score_classes, subclass_pass
-from .subrelations import apply_relation_scores, score_relations, subrelation_pass
+from .subclasses import closed_classes_of, score_classes
+from .subrelations import apply_relation_scores, score_relation, subrelation_pass
+from .vectorized import VectorizedKernel
 from .view import EquivalenceView
 
-T = TypeVar("T")
-
-#: Executor backends selectable via ``ParisConfig.parallel_backend``.
-BACKENDS = ("thread", "process")
-
-#: Default shards per worker.  Several small shards per worker smooth
-#: out skew (a shard of hub instances with many statements costs more
-#: than one of leaves) without drowning the pass in task overhead.
+#: Tasks per worker.  Several small ranges per worker smooth out skew
+#: (a range of hub instances with many statements costs more than one
+#: of leaves) without drowning the pass in dispatch overhead.
 SHARDS_PER_WORKER = 4
 
-#: One shard's scores: ``(x, x', Pr(x ≡ x'))`` tuples in scoring order.
-ShardEntries = List[Tuple[Resource, Resource, float]]
 
-
-def partition_ordered(
-    items: Sequence[T],
-    workers: int,
-    shard_size: Optional[int] = None,
-) -> List[List[T]]:
-    """Cut an already-ordered sequence into contiguous shards.
-
-    The order-preserving core of :func:`partition_instances`, reused by
-    the relation pass (whose canonical order is the ontology's relation
-    registration order, not a sort) and by the warm-start fixpoint
-    (whose dirty frontier is pre-sorted).
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if shard_size is not None and shard_size < 1:
-        raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-    if not items:
-        return []
-    if shard_size is None:
-        shard_size = math.ceil(len(items) / (workers * SHARDS_PER_WORKER))
-    return [list(items[i : i + shard_size]) for i in range(0, len(items), shard_size)]
-
-
-def partition_instances(
-    instances: Iterable[Resource],
-    workers: int,
-    shard_size: Optional[int] = None,
-) -> List[List[Resource]]:
-    """Cut ``instances`` into deterministic contiguous shards.
-
-    Instances are put in the canonical sorted order first (the same
-    :func:`ordered_instances` traversal the sequential pass uses), so
-    the same input set always produces the same shards in the same
-    order — the anchor of the engine's determinism guarantee.
-
-    Parameters
-    ----------
-    instances:
-        The instances of the first ontology (any iterable; typically a
-        set).
-    workers:
-        Intended worker count; used to derive a default shard size of
-        ``ceil(n / (workers * SHARDS_PER_WORKER))``.
-    shard_size:
-        Explicit shard size; overrides the derived default.
-    """
-    return partition_ordered(ordered_instances(instances), workers, shard_size)
-
-
-# ----------------------------------------------------------------------
-# worker plumbing
-# ----------------------------------------------------------------------
-
-#: Frozen per-pass state, installed once per process worker by the
-#: executor initializer so shard tasks only ship the shard itself.
-_WORKER_STATE: Optional[tuple] = None
-
-
-def _init_worker(state: tuple) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = state
-
-
-def _score_shard(shard: List[Resource]) -> ShardEntries:
-    assert _WORKER_STATE is not None, "worker initializer did not run"
-    return score_instances(shard, *_WORKER_STATE)
-
-
-def _score_relation_shard(shard: List[Relation]):
-    assert _WORKER_STATE is not None, "worker initializer did not run"
-    return score_relations(shard, *_WORKER_STATE)
-
-
-def _process_context():
-    """Prefer ``fork``: workers inherit the parent's hash seed, keeping
-    set-iteration (and hence float-accumulation) order identical to the
-    sequential pass."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
-# ----------------------------------------------------------------------
-# the parallel pass
-# ----------------------------------------------------------------------
-
-
-def parallel_instance_equivalence_pass(
-    ontology1: Ontology,
-    ontology2: Ontology,
-    view: EquivalenceView,
-    fun1: FunctionalityOracle,
-    fun2: FunctionalityOracle,
-    rel12: SubsumptionMatrix[Relation],
-    rel21: SubsumptionMatrix[Relation],
-    truncation_threshold: float,
-    use_negative_evidence: bool = False,
-    workers: int = 1,
-    shard_size: Optional[int] = None,
-    backend: str = "process",
-) -> EquivalenceStore:
-    """Sharded, parallel drop-in for :func:`instance_equivalence_pass`.
-
-    Parameters beyond the sequential pass:
-
-    workers:
-        Worker count.  ``1`` with the default shard size falls back to
-        the sequential pass (bit-identical by construction); ``1`` with
-        an explicit ``shard_size`` runs the shard/merge pipeline
-        in-process, which exercises merge determinism without an
-        executor.
-    shard_size:
-        Instances per shard (default: spread over
-        ``workers * SHARDS_PER_WORKER`` shards).
-    backend:
-        ``"process"`` (default) or ``"thread"``.  See the module
-        docstring for the exactness/throughput trade-off.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    common = (
-        ontology1,
-        ontology2,
-        view,
-        fun1,
-        fun2,
-        rel12,
-        rel21,
-        truncation_threshold,
-        use_negative_evidence,
-    )
-    if workers == 1 and shard_size is None:
-        return instance_equivalence_pass(*common)
-    shards = partition_instances(ontology1.instances, workers, shard_size)
-    store = EquivalenceStore(truncation_threshold)
-    if not shards:
-        return store
-    if workers == 1:
-        for shard in shards:
-            store.update(score_instances(shard, *common))
-        return store
-    if backend == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            # executor.map preserves shard order however workers finish.
-            for entries in executor.map(
-                lambda shard: score_instances(shard, *common), shards
-            ):
-                store.update(entries)
-        return store
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=_process_context(),
-        initializer=_init_worker,
-        initargs=(common,),
-    ) as executor:
-        for entries in executor.map(_score_shard, shards):
-            store.update(entries)
-    return store
-
-
-# ----------------------------------------------------------------------
-# scored subsets (warm-start fixpoint)
-# ----------------------------------------------------------------------
-
-
-def parallel_score_instances(
-    instances: Sequence[Resource],
-    ontology1: Ontology,
-    ontology2: Ontology,
-    view: EquivalenceView,
-    fun1: FunctionalityOracle,
-    fun2: FunctionalityOracle,
-    rel12: SubsumptionMatrix[Relation],
-    rel21: SubsumptionMatrix[Relation],
-    truncation_threshold: float,
-    use_negative_evidence: bool = False,
-    workers: int = 1,
-    shard_size: Optional[int] = None,
-    backend: str = "process",
-) -> ShardEntries:
-    """Score an explicit (pre-ordered) instance subset, possibly sharded.
-
-    The warm-start fixpoint re-scores only its dirty frontier per pass;
-    this routes that subset through the same shard executor as the full
-    pass, so warm passes are parallel and deterministic too (entries
-    come back concatenated in shard order, i.e. input order).
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    common = (
-        ontology1,
-        ontology2,
-        view,
-        fun1,
-        fun2,
-        rel12,
-        rel21,
-        truncation_threshold,
-        use_negative_evidence,
-    )
-    if workers == 1:
-        return score_instances(instances, *common)
-    shards = partition_ordered(instances, workers, shard_size)
-    entries: ShardEntries = []
-    if not shards:
-        return entries
-    if backend == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            for shard_entries in executor.map(
-                lambda shard: score_instances(shard, *common), shards
-            ):
-                entries.extend(shard_entries)
-        return entries
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=_process_context(),
-        initializer=_init_worker,
-        initargs=(common,),
-    ) as executor:
-        for shard_entries in executor.map(_score_shard, shards):
-            entries.extend(shard_entries)
-    return entries
-
-
-# ----------------------------------------------------------------------
-# the parallel relation pass
-# ----------------------------------------------------------------------
-
-
-def parallel_subrelation_pass(
-    ontology1: Ontology,
-    ontology2: Ontology,
-    view: EquivalenceView,
-    truncation_threshold: float,
-    max_pairs: int,
-    reverse: bool = False,
-    bootstrap_theta: float = 0.0,
-    workers: int = 1,
-    shard_size: Optional[int] = None,
-    backend: str = "process",
-) -> SubsumptionMatrix[Relation]:
-    """Sharded, parallel drop-in for :func:`.subrelations.subrelation_pass`.
-
-    The same determinism recipe as the instance pass: each relation's
-    row is computed independently against the frozen view by the exact
-    sequential code (:func:`.subrelations.score_relations`), shards cut
-    the relation list *in its canonical order* (the ontology's relation
-    registration order, which is what the sequential pass traverses),
-    and rows merge in shard order — so any worker count/backend fills
-    the matrix in the same insertion order as ``workers=1``.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1 and shard_size is None:
-        return subrelation_pass(
-            ontology1,
-            ontology2,
-            view,
-            truncation_threshold,
-            max_pairs,
-            reverse=reverse,
-            bootstrap_theta=bootstrap_theta,
-        )
-    relations = ontology1.relations(include_inverses=True)
-    matrix: SubsumptionMatrix[Relation] = SubsumptionMatrix()
-    shards = partition_ordered(relations, workers, shard_size)
-    if not shards:
-        return matrix
-    common = (ontology1, ontology2, view, max_pairs, reverse)
-    if workers == 1:
-        for shard in shards:
-            apply_relation_scores(
-                matrix,
-                score_relations(shard, *common),
-                truncation_threshold,
-                bootstrap_theta,
-            )
-        return matrix
-    if backend == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            for scored in executor.map(
-                lambda shard: score_relations(shard, *common), shards
-            ):
-                apply_relation_scores(matrix, scored, truncation_threshold, bootstrap_theta)
-        return matrix
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=_process_context(),
-        initializer=_init_worker,
-        initargs=(common,),
-    ) as executor:
-        for scored in executor.map(_score_relation_shard, shards):
-            apply_relation_scores(matrix, scored, truncation_threshold, bootstrap_theta)
-    return matrix
-
-
-# ----------------------------------------------------------------------
-# the parallel class pass
-# ----------------------------------------------------------------------
-
-
-def parallel_subclass_pass(
-    ontology1: Ontology,
-    ontology2: Ontology,
-    view: EquivalenceView,
-    truncation_threshold: float,
-    max_instances: int,
-    reverse: bool = False,
-    workers: int = 1,
-    shard_size: Optional[int] = None,
-    backend: str = "thread",
-) -> SubsumptionMatrix[Resource]:
-    """Sharded drop-in for :func:`.subclasses.subclass_pass` (Eq. 17).
-
-    Classes shard in the *set iteration order* the sequential pass
-    traverses (``ontology1.classes`` — deliberately not sorted, so the
-    matrix fills in the same insertion order and probability ties in
-    downstream reports keep breaking identically), rows merge in shard
-    order.  Only the ``thread`` backend is offered: the process analogue
-    lives on the persistent :class:`WorkerPool`, where workers inherit
-    the class closure inputs by fork instead of pickling them per pass.
-    """
-    if backend != "thread":
-        raise ValueError(f"backend must be 'thread', got {backend!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1 and shard_size is None:
-        return subclass_pass(
-            ontology1,
-            ontology2,
-            view,
-            truncation_threshold,
-            max_instances,
-            reverse=reverse,
-        )
-    matrix: SubsumptionMatrix[Resource] = SubsumptionMatrix()
-    shards = partition_ordered(list(ontology1.classes), workers, shard_size)
-    if not shards:
-        return matrix
-    classes_of_right = closed_classes_of(ontology2)
-    common = (ontology1, view, classes_of_right, max_instances, reverse)
-
-    def apply(scored) -> None:
-        for cls, scores in scored:
-            for cls2, score in scores.items():
-                if score >= truncation_threshold:
-                    matrix.set(cls, cls2, score)
-
-    if workers == 1:
-        for shard in shards:
-            apply(score_classes(shard, *common))
-        return matrix
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        for scored in executor.map(lambda shard: score_classes(shard, *common), shards):
-            apply(scored)
-    return matrix
+def fork_available() -> bool:
+    """Whether this platform offers the ``fork`` start method the pool needs."""
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 # ----------------------------------------------------------------------
@@ -442,11 +80,9 @@ def _run_pool_task(state: tuple, payload: dict, cache: dict, span: Tuple[int, in
     lo, hi = span
     kind = payload["kind"]
     if kind == "instances":
-        return kernel.score_ids(
-            payload["ids"][lo:hi], payload["prepared"], payload["theta"]
-        )
-    # Relation/class tasks score with the legacy dict code against a
-    # store rebuilt once per pass from the shipped id arrays (both row
+        return kernel.score_ids(payload["ids"][lo:hi], payload["prepared"], payload["theta"])
+    # Relation/class tasks score with the dict code against a store
+    # rebuilt once per pass from the shipped id arrays (both row
     # orderings preserved — see EquivalenceStore.backward_items).
     view = cache.get("view")
     if view is None:
@@ -455,45 +91,23 @@ def _run_pool_task(state: tuple, payload: dict, cache: dict, span: Tuple[int, in
         cache["view"] = view
     reverse = payload["reverse"]
     first, second = (ontology2, ontology1) if reverse else (ontology1, ontology2)
+    cap = payload["cap"]
     if kind == "relations":
         relations = first.relations(include_inverses=True)
         return [
-            (
-                index,
-                # score_relation is resolved lazily to keep the fork
-                # image identical to the parent's import state.
-                _score_one_relation(
-                    relations[index], first, second, view, payload["max_pairs"], reverse
-                ),
-            )
+            score_relation(relations[index], first, second, view, cap, reverse=reverse)
             for index in range(lo, hi)
         ]
     if kind == "classes":
-        classes = cache.get("classes")
-        if classes is None:
+        if "closure" not in cache:
             # The inherited set object iterates identically in parent
             # and child, so index ranges address the same classes.
-            classes = list(first.classes)
-            cache["classes"] = classes
-        closure = cache.get("closure")
-        if closure is None:
-            closure = closed_classes_of(second)
-            cache["closure"] = closure
+            cache["classes"] = list(first.classes)
+            cache["closure"] = closed_classes_of(second)
         return score_classes(
-            classes[lo:hi],
-            first,
-            view,
-            closure,
-            payload["max_instances"],
-            reverse=reverse,
+            cache["classes"][lo:hi], first, view, cache["closure"], cap, reverse=reverse
         )
     raise ValueError(f"unknown pool task kind {kind!r}")
-
-
-def _score_one_relation(relation, first, second, view, max_pairs, reverse):
-    from .subrelations import score_relation
-
-    return score_relation(relation, first, second, view, max_pairs, reverse=reverse)
 
 
 def _pool_worker_main(worker_index: int, task_queue, result_queue) -> None:
@@ -522,13 +136,13 @@ def _pool_worker_main(worker_index: int, task_queue, result_queue) -> None:
 class WorkerPool:
     """Fork-once worker pool for the whole fixpoint (zero re-pickling).
 
-    Workers are forked at construction and inherit ``state`` — the
-    ontologies, literal indexes and the vectorized kernel — through
-    copy-on-write memory.  :meth:`run_pass` broadcasts one small
-    per-pass payload, feeds ``(lo, hi)`` index-range tasks to whichever
-    worker is free, and returns results **in task order** regardless of
-    completion order, so pool scheduling can never perturb downstream
-    float accumulation.
+    Workers are forked at construction and inherit the ontologies,
+    literal indexes and the vectorized ``kernel`` through copy-on-write
+    memory.  Each pass method broadcasts one small payload, feeds
+    ``(lo, hi)`` index-range tasks to whichever worker is free, and
+    returns results **in task order** regardless of completion order,
+    so pool scheduling can never perturb downstream float
+    accumulation.
 
     The pool requires the ``fork`` start method: forked workers share
     the parent's hash seed and object identities, which is what makes
@@ -536,21 +150,32 @@ class WorkerPool:
     equal to an in-process run.
     """
 
-    def __init__(self, workers: int, state: tuple, versions: Optional[tuple] = None) -> None:
+    def __init__(
+        self,
+        workers: int,
+        ontology1: Ontology,
+        ontology2: Ontology,
+        literals2: LiteralIndex,
+        literals1: LiteralIndex,
+        kernel: VectorizedKernel,
+    ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if "fork" not in multiprocessing.get_all_start_methods():
+        if not fork_available():
             raise RuntimeError("WorkerPool requires the fork start method")
         context = multiprocessing.get_context("fork")
         self.workers = workers
+        self.ontology1 = ontology1
+        self.ontology2 = ontology2
+        self.kernel = kernel
         #: Ontology versions the forked state was built from; owners
         #: compare against their kernel's to detect a stale pool.
-        self.versions = versions
+        self.versions = kernel.versions
         self._task_queues = [context.SimpleQueue() for _ in range(workers)]
         self._results = context.Queue()
         self._closed = False
         global _POOL_FORK_STATE
-        _POOL_FORK_STATE = state
+        _POOL_FORK_STATE = (ontology1, ontology2, literals2, literals1, kernel)
         try:
             self._processes = [
                 context.Process(
@@ -565,19 +190,72 @@ class WorkerPool:
         finally:
             _POOL_FORK_STATE = None
 
-    def run_pass(self, payload: dict, tasks: Sequence[Tuple[int, int]]) -> List:
+    @property
+    def num_tasks(self) -> int:
+        """Tasks one pass is cut into."""
+        return self.workers * SHARDS_PER_WORKER
+
+    def score_instances(self, ids, prepared, theta: float) -> List[tuple]:
+        """Eq. 13 kernel scores of the instance ids ``ids``, one
+        ``(x_ids, x'_ids, scores)`` result per task, in task order
+        (concatenated, they are :meth:`VectorizedKernel.score_ids`'s
+        output)."""
+        payload = {"kind": "instances", "ids": ids, "prepared": prepared, "theta": theta}
+        tasks = self.kernel.task_ranges(ids, prepared, self.num_tasks)
+        return self._run_pass(payload, tasks)
+
+    def relation_rows(
+        self, view_store: EquivalenceStore, reverse: bool, max_pairs: int
+    ) -> Optional[List[Tuple[Relation, Optional[Dict[Relation, float]]]]]:
+        """Eq. 12 ``(relation, row)`` pairs for every relation of the
+        scored side, in registration order (the order
+        :func:`.subrelations.subrelation_pass` folds them).  ``None``
+        when ``view_store`` mentions a node the kernel never interned."""
+        first = self.ontology2 if reverse else self.ontology1
+        relations = first.relations(include_inverses=True)
+        rows = self._store_pass("relations", view_store, reverse, max_pairs, len(relations))
+        return None if rows is None else list(zip(relations, rows))
+
+    def class_rows(
+        self, view_store: EquivalenceStore, reverse: bool, max_instances: int
+    ) -> Optional[List[Tuple[Resource, Dict[Resource, float]]]]:
+        """Eq. 17 ``(class, scores)`` pairs for every class of the
+        scored side, in the set order :func:`.subclasses.subclass_pass`
+        traverses.  ``None`` as for :meth:`relation_rows`."""
+        first = self.ontology2 if reverse else self.ontology1
+        return self._store_pass("classes", view_store, reverse, max_instances, len(first.classes))
+
+    def _store_pass(
+        self, kind: str, view_store: EquivalenceStore, reverse: bool, cap: int, count: int
+    ) -> Optional[list]:
+        """Run a relation/class pass against ``view_store`` shipped as
+        id arrays; per-item results flattened in item order."""
+        lowered = self.kernel.lower_store(view_store)
+        if lowered is None:
+            return None
+        payload = {
+            "kind": kind,
+            "store": lowered,
+            "threshold": view_store.truncation_threshold,
+            "reverse": reverse,
+            "cap": cap,
+        }
+        results = self._run_pass(payload, even_ranges(count, self.num_tasks))
+        return [item for result in results for item in result]
+
+    def _run_pass(self, payload: dict, tasks: Sequence[Tuple[int, int]]) -> List:
         """Broadcast ``payload``, run ``tasks``, return results in task order."""
         from ..obs.trace import span
 
         with span(
             "pool.run_pass",
-            kind=payload.get("kind"),
+            kind=payload["kind"],
             tasks=len(tasks),
             workers=self.workers,
         ):
-            return self._run_pass(payload, tasks)
+            return self._dispatch(payload, tasks)
 
-    def _run_pass(self, payload: dict, tasks: Sequence[Tuple[int, int]]) -> List:
+    def _dispatch(self, payload: dict, tasks: Sequence[Tuple[int, int]]) -> List:
         if self._closed:
             raise RuntimeError("pool is closed")
         for task_queue in self._task_queues:
@@ -645,3 +323,38 @@ class WorkerPool:
             self.close()
         except Exception:
             pass
+
+
+def parallel_subrelation_pass(
+    ontology1: Ontology,
+    ontology2: Ontology,
+    view: EquivalenceView,
+    truncation_threshold: float,
+    max_pairs: int,
+    reverse: bool = False,
+    bootstrap_theta: float = 0.0,
+    pool: Optional[WorkerPool] = None,
+) -> SubsumptionMatrix[Relation]:
+    """One direction of the Eq. 12 relation pass, on ``pool`` if given.
+
+    Without a pool (or when the view store cannot be lowered to the
+    kernel's ids) this is :func:`.subrelations.subrelation_pass`.  On
+    the pool, relations are scored in their canonical registration
+    order and folded in that order, so the matrix fills exactly as the
+    sequential pass fills it.  ``ontology1`` is the side whose
+    relations are scored (the right ontology when ``reverse``).
+    """
+    rows = pool.relation_rows(view.store, reverse, max_pairs) if pool is not None else None
+    if rows is None:
+        return subrelation_pass(
+            ontology1,
+            ontology2,
+            view,
+            truncation_threshold,
+            max_pairs,
+            reverse=reverse,
+            bootstrap_theta=bootstrap_theta,
+        )
+    matrix: SubsumptionMatrix[Relation] = SubsumptionMatrix()
+    apply_relation_scores(matrix, rows, truncation_threshold, bootstrap_theta)
+    return matrix

@@ -139,8 +139,8 @@ class EquivalenceStore:
     def update(self, entries: Iterable[Tuple[Resource, Resource, float]]) -> None:
         """Bulk-:meth:`set` ``(left, right, probability)`` entries in order.
 
-        This is the merge step of the sharded parallel engine
-        (:mod:`repro.core.parallel`): shard results are applied in shard
+        This is the merge step of the worker pool
+        (:mod:`repro.core.parallel`): task results are applied in task
         order, so the stored values — and therefore the maximal
         assignment, whose exact ties additionally break on the
         counterpart name — do not depend on worker scheduling.

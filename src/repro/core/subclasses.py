@@ -99,7 +99,7 @@ def score_classes(
     max_instances: int,
     reverse: bool = False,
 ) -> list:
-    """Score a batch of classes; the shard unit of the parallel pass.
+    """Score a batch of classes; the task unit of the pooled pass.
 
     Each class's row depends only on the frozen inputs (its extension
     and the previous view), never on other classes, so any partition of

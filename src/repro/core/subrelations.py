@@ -24,7 +24,7 @@ Implementation notes (Section 5.2):
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..rdf.ontology import Ontology
 from ..rdf.terms import Node, Relation
@@ -116,38 +116,14 @@ def score_relation(
     }
 
 
-def score_relations(
-    relations: Iterable[Relation],
-    ontology1: Ontology,
-    ontology2: Ontology,
-    view: EquivalenceView,
-    max_pairs: int,
-    reverse: bool = False,
-) -> List[Tuple[Relation, Optional[Dict[Relation, float]]]]:
-    """Score a batch of relations; the shard unit of the parallel pass.
-
-    Each relation's row depends only on the frozen inputs (ontologies
-    and previous-iteration view), never on other relations, so any
-    partition of the relation list yields the same rows — the exact
-    analogue of :func:`repro.core.equivalence.score_instances` for the
-    relation pass.
-    """
-    return [
-        (
-            relation,
-            score_relation(relation, ontology1, ontology2, view, max_pairs, reverse=reverse),
-        )
-        for relation in relations
-    ]
-
-
 def apply_relation_scores(
     matrix: SubsumptionMatrix[Relation],
     scored: Iterable[Tuple[Relation, Optional[Dict[Relation, float]]]],
     truncation_threshold: float,
     bootstrap_theta: float,
 ) -> None:
-    """Fold scored rows into ``matrix`` (the shard-merge step)."""
+    """Fold ``(relation, row)`` pairs into ``matrix`` in order (the
+    merge step of both the sequential and the pooled pass)."""
     for relation, scores in scored:
         if scores is None:
             # No evidence: the relation stays at the bootstrap prior so
@@ -179,12 +155,6 @@ def subrelation_pass(
     """
     matrix: SubsumptionMatrix[Relation] = SubsumptionMatrix()
     for relation in ontology1.relations(include_inverses=True):
-        apply_relation_scores(
-            matrix,
-            score_relations(
-                (relation,), ontology1, ontology2, view, max_pairs, reverse=reverse
-            ),
-            truncation_threshold,
-            bootstrap_theta,
-        )
+        row = score_relation(relation, ontology1, ontology2, view, max_pairs, reverse=reverse)
+        apply_relation_scores(matrix, ((relation, row),), truncation_threshold, bootstrap_theta)
     return matrix

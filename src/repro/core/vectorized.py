@@ -258,7 +258,7 @@ class VectorizedKernel:
         rebuild a store whose row dicts iterate exactly like the
         original's.  Returns ``None`` when the store mentions a node
         the kernel never interned (no statements) — callers then fall
-        back to shipping nothing and using the legacy path.
+        back to the sequential dict pass.
         """
         nodes1 = self.nodes1
         nodes2 = self.nodes2

@@ -124,7 +124,7 @@ class ReplicaNode:
         per poll.
     config_overrides:
         Runtime-only config fields to replace on the bootstrapped
-        state (the CLI passes the parallel knobs, as ``repro serve``
+        state (the CLI passes ``workers``, as ``repro serve``
         does on resume — model knobs always come from the snapshot).
     """
 

@@ -284,6 +284,11 @@ class WriteAheadLog:
         self._syncing = False
         self._sync_waiters = 0
         self.fsyncs = 0
+        #: The first fsync error; once set the log is dead and every
+        #: later append/sync raises it.  A retried fsync after EIO can
+        #: "succeed" over pages the kernel already dropped, so retrying
+        #: could acknowledge records that are not on disk.
+        self._failed: Optional[OSError] = None
         #: Optional :class:`repro.obs.provenance.ProvenanceRing` — when
         #: set (the serving stack wires the engine's ring in), every
         #: fsync stamps ``durable`` on the offsets it covered.
@@ -597,6 +602,7 @@ class WriteAheadLog:
         if self.read_only:
             raise RuntimeError(f"{self.path} was opened read-only")
         with self._write_lock:
+            self._check_alive()
             if (
                 self.segment_bytes
                 and self._active_bytes >= self.segment_bytes
@@ -648,6 +654,7 @@ class WriteAheadLog:
         try:
             while True:
                 with self._commit:
+                    self._check_alive()
                     if self._durable_offset >= offset:
                         return
                     if self._syncing:
@@ -665,10 +672,7 @@ class WriteAheadLog:
                         target = self._offset
                         if self._stream is not None:
                             fsync_started = time.perf_counter()
-                            self._stream.flush()
-                            os.fsync(self._stream.fileno())
-                            self.fsyncs += 1
-                            WAL_FSYNCS.inc()
+                            self._fsync_stream()
                             FSYNC_SECONDS.observe(time.perf_counter() - fsync_started)
                         # Only reached when the fsync (if any was
                         # needed) succeeded; a stream-less log has
@@ -689,14 +693,29 @@ class WriteAheadLog:
             with self._commit:
                 self._sync_waiters -= 1
 
+    def _check_alive(self) -> None:
+        if self._failed is not None:
+            raise self._failed
+
+    def _fsync_stream(self) -> None:
+        """Flush and fsync the active segment; the first failure kills
+        the log (see ``_failed``).  Caller holds ``_write_lock``."""
+        try:
+            self._stream.flush()
+            os.fsync(self._stream.fileno())
+        except OSError as error:
+            with self._commit:
+                if self._failed is None:
+                    self._failed = error
+            raise
+        self.fsyncs += 1
+        WAL_FSYNCS.inc()
+
     def _rotate_locked(self) -> None:
         """Seal the active segment (fsync, rename) and start a new one.
         Caller holds ``_write_lock``."""
         if self._stream is not None:
-            self._stream.flush()
-            os.fsync(self._stream.fileno())
-            self.fsyncs += 1
-            WAL_FSYNCS.inc()
+            self._fsync_stream()
             self._stream.close()
             self._stream = None
         sealed = self._sealed_name(self._active_base)
@@ -877,11 +896,14 @@ class WriteAheadLog:
     def close(self) -> None:
         if self._stream is not None:
             with self._write_lock:
+                if self._stream is not None and self._failed is not None:
+                    # A dead log releases its handle but never retries
+                    # the fsync or advertises the unsynced tail.
+                    self._stream.close()
+                    self._stream = None
+                    return
                 if self._stream is not None:
-                    self._stream.flush()
-                    os.fsync(self._stream.fileno())
-                    self.fsyncs += 1
-                    WAL_FSYNCS.inc()
+                    self._fsync_stream()
                     self._stream.close()
                     self._stream = None
                     self._publish_durable(self._offset)

@@ -143,16 +143,17 @@ class TestCli:
             assert outputs[4][0][name] == blob, f"{name} differs between 1/4 workers"
         assert outputs[1][1] == outputs[4][1]  # printed pairs identical too
 
-    def test_workers_flag_thread_backend(self, nt_files, tmp_path):
+    def test_invalid_config_value_is_a_usage_error(self, nt_files, tmp_path, capsys):
+        """An out-of-range value is a one-line usage error, exit code 2."""
         left, right = nt_files
-        out = tmp_path / "alignment-threads"
-        code = main([
-            "align", left, right, "--out", str(out),
-            "--workers", "2", "--parallel-backend", "thread",
-            "--shard-size", "1",
-        ])
-        assert code == 0
-        assert (out / "instances.tsv").read_text()
+        for argv in (
+            ["demo", "person", "--workers", "0"],
+            ["align", left, right, "--out", str(tmp_path / "x"), "--theta", "1.5"],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert err.startswith(f"repro {argv[0]}: error: ")
 
     def test_missing_file_errors(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -172,7 +173,7 @@ class TestCli:
 
 
 class TestParallelOptionsWiring:
-    """Every alignment-running subcommand accepts the parallel knobs."""
+    """Every alignment-running subcommand accepts ``--workers``."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -188,24 +189,20 @@ class TestParallelOptionsWiring:
         from repro.cli import build_parser
 
         parser = build_parser()
-        args = parser.parse_args(
-            argv + ["--workers", "3", "--shard-size", "7", "--parallel-backend", "thread"]
-        )
+        args = parser.parse_args(argv + ["--workers", "3"])
         assert args.workers == 3
-        assert args.shard_size == 7
-        assert args.parallel_backend == "thread"
+        for retired in ("--shard-size", "--parallel-backend"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv + [retired, "7"])
 
     def test_parallel_defaults_are_sequential(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["demo", "kb"])
         assert args.workers == 1
-        assert args.shard_size is None
-        assert args.parallel_backend == "process"
 
     def test_demo_runs_with_workers(self, capsys):
-        assert main(["demo", "person", "--workers", "2",
-                     "--parallel-backend", "thread"]) == 0
+        assert main(["demo", "person", "--workers", "2"]) == 0
         captured = capsys.readouterr()
         assert "instances:" in captured.out
 

@@ -1,57 +1,37 @@
-"""Tests for the sharded parallel instance-pass engine.
+"""Tests for the fork-once worker pool, the one parallel route.
 
-The heart of the engine is its guarantee: for any worker count, shard
-size and backend, the scores are *equal* to the sequential engine's.
-These tests enforce it on the unit level (partitioner, single pass,
-merge order) and end-to-end on the existing integration fixtures
-(``workers=4`` against the session-cached sequential results).
+The pool's guarantee: for any worker count and task split, the scores
+are *equal* — bit for bit, in the same store insertion order — to the
+sequential engine's.  These tests enforce it on the unit level (task
+ranges, one instance/relation pass on a pool) and end-to-end on the
+integration fixtures (``workers=4`` against the session-cached
+sequential results).  Configurations the pool cannot serve (the dict
+engine, negative evidence) must run sequentially and stay equal too.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import pickle
 
 import pytest
 
 from repro import ParisConfig, align
-from repro.core.equivalence import instance_equivalence_pass
+from repro.core import aligner as aligner_module
+from repro.core.aligner import ParisAligner
+from repro.core.equivalence import instance_equivalence_pass, ordered_instances, score_instances
 from repro.core.functionality import FunctionalityOracle
 from repro.core.literal_index import LiteralIndex
 from repro.core.matrix import SubsumptionMatrix
-from repro.core.parallel import (
-    BACKENDS,
-    parallel_instance_equivalence_pass,
-    parallel_score_instances,
-    parallel_subrelation_pass,
-    partition_instances,
-    partition_ordered,
-)
+from repro.core.parallel import WorkerPool, even_ranges, fork_available, parallel_subrelation_pass
 from repro.core.store import EquivalenceStore
 from repro.core.subrelations import subrelation_pass
+from repro.core.vectorized import HAVE_NUMPY, VectorizedKernel
 from repro.core.view import EquivalenceView
 from repro.literals import IdentitySimilarity
-from repro.rdf.terms import Resource
 
-
-#: Under fork, process workers inherit the parent's hash seed and thus
-#: its set-iteration orders, so the process backend is bit-exact; under
-#: spawn the guarantee is only ≈1 ulp (see repro/core/parallel.py).
-FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
-
-
-def store_scores(store):
-    """All stored scores as a comparable dict keyed on (left, right)."""
-    return {(left, right): p for left, right, p in store.items()}
-
-
-def assert_stores_match(parallel, sequential, exact=True):
-    actual, expected = store_scores(parallel), store_scores(sequential)
-    if exact:
-        assert actual == expected
-        return
-    assert actual.keys() == expected.keys()
-    for key, probability in expected.items():
-        assert abs(actual[key] - probability) <= 1e-12, key
+#: The pool needs the vectorized kernel and the fork start method.
+POOL_AVAILABLE = HAVE_NUMPY and fork_available()
+needs_pool = pytest.mark.skipif(not POOL_AVAILABLE, reason="pool needs numpy and fork")
 
 
 def reverse_scores(store):
@@ -63,35 +43,19 @@ def reverse_scores(store):
     return scores
 
 
-class TestPartitioner:
-    def test_covers_all_instances_exactly_once(self):
-        instances = {Resource(f"i{n}") for n in range(23)}
-        shards = partition_instances(instances, workers=4)
-        flat = [x for shard in shards for x in shard]
-        assert len(flat) == len(instances)
-        assert set(flat) == instances
-
-    def test_deterministic_and_sorted(self):
-        instances = {Resource(f"i{n}") for n in range(50)}
-        first = partition_instances(instances, workers=3)
-        second = partition_instances(list(instances), workers=3)
-        assert first == second
-        flat = [x.name for shard in first for x in shard]
-        assert flat == sorted(flat)
-
-    def test_explicit_shard_size(self):
-        instances = {Resource(f"i{n}") for n in range(10)}
-        shards = partition_instances(instances, workers=2, shard_size=3)
-        assert [len(s) for s in shards] == [3, 3, 3, 1]
-
-    def test_empty_input(self):
-        assert partition_instances(set(), workers=2) == []
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            partition_instances({Resource("a")}, workers=0)
-        with pytest.raises(ValueError):
-            partition_instances({Resource("a")}, workers=1, shard_size=0)
+def make_pool(workers, ontology1, ontology2):
+    """A pool (and its kernel) over a pair, as the aligner forks it."""
+    similarity = IdentitySimilarity()
+    literals2 = LiteralIndex(ontology2, similarity)
+    literals1 = LiteralIndex(ontology1, similarity)
+    kernel = VectorizedKernel(
+        ontology1,
+        ontology2,
+        FunctionalityOracle(ontology1),
+        FunctionalityOracle(ontology2),
+        literals2,
+    )
+    return WorkerPool(workers, ontology1, ontology2, literals2, literals1, kernel), kernel
 
 
 @pytest.fixture(scope="module")
@@ -118,76 +82,146 @@ def pass_inputs():
     )
 
 
+def aligner_instance_pass(pass_inputs, workers):
+    """One full instance pass as the aligner routes it for ``workers``."""
+    ontology1, ontology2, view, _fun1, _fun2, rel12, rel21, theta = pass_inputs
+    aligner = ParisAligner(ontology1, ontology2, ParisConfig(theta=theta, workers=workers))
+    try:
+        return aligner._instance_pass(view, rel12, rel21)
+    finally:
+        aligner.close()
+
+
+class TestPartitioner:
+    """The pool's task ranges: instance ranges balance projected work
+    (``VectorizedKernel.task_ranges``), relation/class ranges are even
+    (``even_ranges``); both must cover the canonical order exactly once,
+    contiguously, so merging in task order is merging in scoring order."""
+
+    @needs_pool
+    def test_covers_all_instances_exactly_once(self, pass_inputs):
+        ontology1, ontology2, view, fun1, fun2, rel12, rel21, _theta = pass_inputs
+        kernel = VectorizedKernel(ontology1, ontology2, fun1, fun2, view._right_index)
+        prepared = kernel.prepare_pass(view.store, rel12, rel21)
+        ranges = kernel.task_ranges(kernel.ordered_ids, prepared, 16)
+        assert ranges[0][0] == 0 and ranges[-1][1] == len(kernel.ordered_ids)
+        assert all(hi > lo for lo, hi in ranges)
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        flat = [index for lo, hi in even_ranges(23, 16) for index in range(lo, hi)]
+        assert flat == list(range(23))
+
+    @needs_pool
+    def test_deterministic_and_sorted(self, pass_inputs):
+        ontology1, ontology2, view, fun1, fun2, rel12, rel21, _theta = pass_inputs
+        kernel = VectorizedKernel(ontology1, ontology2, fun1, fun2, view._right_index)
+        assert kernel.ordered_nodes == ordered_instances(ontology1.instances)
+        names = [node.name for node in kernel.ordered_nodes]
+        assert names == sorted(names)
+        prepared = kernel.prepare_pass(view.store, rel12, rel21)
+        first = kernel.task_ranges(kernel.ordered_ids, prepared, 12)
+        assert first == kernel.task_ranges(kernel.ordered_ids, prepared, 12)
+        assert even_ranges(50, 12) == even_ranges(50, 12)
+
+    def test_explicit_shard_size(self):
+        # An explicit task count fixes the range size at ceil(n / tasks).
+        assert [hi - lo for lo, hi in even_ranges(10, 4)] == [3, 3, 3, 1]
+
+    @needs_pool
+    def test_empty_input(self, pass_inputs):
+        ontology1, ontology2, view, fun1, fun2, rel12, rel21, _theta = pass_inputs
+        kernel = VectorizedKernel(ontology1, ontology2, fun1, fun2, view._right_index)
+        prepared = kernel.prepare_pass(view.store, rel12, rel21)
+        assert even_ranges(0, 4) == []
+        assert kernel.task_ranges(kernel.ids_for([]), prepared, 4) == []
+
+    def test_invalid_arguments(self, pass_inputs):
+        ontology1, ontology2 = pass_inputs[:2]
+        with pytest.raises(ValueError):
+            WorkerPool(0, ontology1, ontology2, None, None, None)
+
+
 class TestParallelPass:
+    """One full instance pass on the pool equals the dict pass."""
+
     def test_single_worker_matches_sequential_bitwise(self, pass_inputs):
         sequential = instance_equivalence_pass(*pass_inputs)
-        fallback = parallel_instance_equivalence_pass(*pass_inputs, workers=1)
-        assert store_scores(fallback) == store_scores(sequential)
+        in_process = aligner_instance_pass(pass_inputs, workers=1)
+        assert list(in_process.items()) == list(sequential.items())
 
+    @needs_pool
     def test_sharded_single_worker_matches_sequential(self, pass_inputs):
+        """One worker, several tasks: the merge order alone decides."""
+        ontology1, ontology2, view, _fun1, _fun2, rel12, rel21, theta = pass_inputs
         sequential = instance_equivalence_pass(*pass_inputs)
-        sharded = parallel_instance_equivalence_pass(
-            *pass_inputs, workers=1, shard_size=7
-        )
-        assert store_scores(sharded) == store_scores(sequential)
+        pool, kernel = make_pool(1, ontology1, ontology2)
+        with pool:
+            prepared = kernel.prepare_pass(view.store, rel12, rel21)
+            results = pool.score_instances(kernel.ordered_ids, prepared, theta)
+        assert len(results) > 1
+        store = EquivalenceStore(theta)
+        for result in results:
+            store.update(kernel.entries_for(*result))
+        assert list(store.items()) == list(sequential.items())
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    # The fork pool is the one (process) backend.
+    @needs_pool
+    @pytest.mark.parametrize("backend", ["process"])
     @pytest.mark.parametrize("workers", [2, 4])
     def test_backends_match_sequential_exactly(self, pass_inputs, backend, workers):
         sequential = instance_equivalence_pass(*pass_inputs)
-        parallel = parallel_instance_equivalence_pass(
-            *pass_inputs, workers=workers, backend=backend
-        )
-        assert_stores_match(
-            parallel,
-            sequential,
-            exact=backend == "thread" or FORK_AVAILABLE,
-        )
+        pooled = aligner_instance_pass(pass_inputs, workers=workers)
+        assert list(pooled.items()) == list(sequential.items())
 
+    @needs_pool
     def test_both_directions_filled(self, pass_inputs):
         sequential = instance_equivalence_pass(*pass_inputs)
-        parallel = parallel_instance_equivalence_pass(
-            *pass_inputs, workers=2, backend="thread"
-        )
-        assert reverse_scores(parallel) == reverse_scores(sequential)
+        pooled = aligner_instance_pass(pass_inputs, workers=2)
+        assert reverse_scores(pooled) == reverse_scores(sequential)
 
+    @needs_pool
     def test_shard_size_does_not_change_scores(self, pass_inputs):
-        baseline = parallel_instance_equivalence_pass(
-            *pass_inputs, workers=2, backend="thread"
-        )
-        for shard_size in (1, 5, 1000):
-            other = parallel_instance_equivalence_pass(
-                *pass_inputs, workers=2, shard_size=shard_size, backend="thread"
-            )
-            assert store_scores(other) == store_scores(baseline)
+        """However finely the pass is cut, merging the ranges' scores in
+        range order fills the same store (what the pool relies on)."""
+        ontology1, ontology2, view, fun1, fun2, rel12, rel21, theta = pass_inputs
+        kernel = VectorizedKernel(ontology1, ontology2, fun1, fun2, view._right_index)
+        prepared = kernel.prepare_pass(view.store, rel12, rel21)
+        ids = kernel.ordered_ids
+        baseline = list(instance_equivalence_pass(*pass_inputs).items())
+        for tasks in (1, 5, 1000):
+            store = EquivalenceStore(theta)
+            for lo, hi in kernel.task_ranges(ids, prepared, tasks):
+                store.update(kernel.entries_for(*kernel.score_ids(ids[lo:hi], prepared, theta)))
+            assert list(store.items()) == baseline
 
+    @needs_pool
     def test_maximal_assignment_identical(self, pass_inputs):
         sequential = instance_equivalence_pass(*pass_inputs)
-        parallel = parallel_instance_equivalence_pass(
-            *pass_inputs, workers=4, backend="thread"
-        )
-        assert parallel.maximal_assignment() == sequential.maximal_assignment()
-        assert parallel.maximal_assignment(reverse=True) == sequential.maximal_assignment(
+        pooled = aligner_instance_pass(pass_inputs, workers=4)
+        assert pooled.maximal_assignment() == sequential.maximal_assignment()
+        assert pooled.maximal_assignment(reverse=True) == sequential.maximal_assignment(
             reverse=True
         )
 
-    def test_invalid_backend_rejected(self, pass_inputs):
-        with pytest.raises(ValueError):
-            parallel_instance_equivalence_pass(*pass_inputs, workers=2, backend="mpi")
+    def test_invalid_backend_rejected(self):
+        # The backend knob is retired: the pool is the only route.
+        with pytest.raises(TypeError):
+            ParisConfig(workers=2, parallel_backend="thread")
 
     def test_invalid_worker_count_rejected(self, pass_inputs):
         with pytest.raises(ValueError):
-            parallel_instance_equivalence_pass(*pass_inputs, workers=0)
+            aligner_instance_pass(pass_inputs, workers=0)
 
+    @needs_pool
     def test_empty_ontology(self, pass_inputs):
         from repro.rdf.ontology import Ontology
 
-        _, ontology2, view, fun1, fun2, rel12, rel21, theta = pass_inputs
+        _, ontology2, view, _fun1, _fun2, rel12, rel21, theta = pass_inputs
         empty = Ontology("empty")
-        store = parallel_instance_equivalence_pass(
-            empty, ontology2, view, fun1, fun2, rel12, rel21, theta,
-            workers=2, backend="thread",
-        )
+        aligner = ParisAligner(empty, ontology2, ParisConfig(workers=2))
+        try:
+            store = aligner._instance_pass(view, rel12, rel21)
+        finally:
+            aligner.close()
         assert len(store) == 0
 
 
@@ -197,10 +231,10 @@ def matrix_scores(matrix, sub_ontology):
     Defaults are enumerated over *every* relation of the sub-side
     ontology, not just those with explicit entries — a relation whose
     whole row is the no-evidence bootstrap default (``set_sub_default``
-    only) must also compare equal between sequential and sharded runs.
+    only) must also compare equal between sequential and pooled runs.
     """
     return (
-        {(sub, sup): p for sub, sup, p in matrix.items()},
+        list(matrix.items()),
         {
             relation: matrix.sub_default(relation)
             for relation in sub_ontology.relations(include_inverses=True)
@@ -223,65 +257,61 @@ def relation_pass_inputs(pass_inputs):
 
 
 class TestParallelRelationPass:
-    """The relation pass shards with the same equivalence guarantee as
-    the instance pass (ROADMAP "next steps" item)."""
+    """The Eq. 12 pass on the pool fills the matrix exactly as the
+    sequential pass does, in both directions."""
 
     def kwargs(self):
         return dict(truncation_threshold=0.1, max_pairs=10_000, bootstrap_theta=0.1)
+
+    def pooled(self, relation_pass_inputs, workers, reverse):
+        ontology1, ontology2, view = relation_pass_inputs
+        first, second = (ontology2, ontology1) if reverse else (ontology1, ontology2)
+        pool, _kernel = make_pool(workers, ontology1, ontology2)
+        with pool:
+            # The pool route really ran: the filled view lowers to ids.
+            assert pool.relation_rows(view.store, reverse, 10_000) is not None
+            return parallel_subrelation_pass(
+                first, second, view, reverse=reverse, pool=pool, **self.kwargs()
+            )
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_single_worker_matches_sequential_bitwise(self, relation_pass_inputs, reverse):
         ontology1, ontology2, view = relation_pass_inputs
         first, second = (ontology2, ontology1) if reverse else (ontology1, ontology2)
         sequential = subrelation_pass(first, second, view, reverse=reverse, **self.kwargs())
-        fallback = parallel_subrelation_pass(
-            first, second, view, reverse=reverse, workers=1, **self.kwargs()
+        without_pool = parallel_subrelation_pass(
+            first, second, view, reverse=reverse, **self.kwargs()
         )
-        assert matrix_scores(fallback, first) == matrix_scores(sequential, first)
+        assert matrix_scores(without_pool, first) == matrix_scores(sequential, first)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    # The fork pool is the one (process) backend.
+    @needs_pool
+    @pytest.mark.parametrize("backend", ["process"])
     @pytest.mark.parametrize("workers", [2, 4])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_backends_match_sequential(self, relation_pass_inputs, backend, workers, reverse):
         ontology1, ontology2, view = relation_pass_inputs
         first, second = (ontology2, ontology1) if reverse else (ontology1, ontology2)
         sequential = subrelation_pass(first, second, view, reverse=reverse, **self.kwargs())
-        parallel = parallel_subrelation_pass(
-            first, second, view, reverse=reverse,
-            workers=workers, backend=backend, **self.kwargs()
-        )
-        if backend == "thread" or FORK_AVAILABLE:
-            assert matrix_scores(parallel, first) == matrix_scores(sequential, first)
-        else:
-            entries, defaults = matrix_scores(sequential, first)
-            for key, probability in entries.items():
-                assert abs(parallel.get(*key) - probability) <= 1e-12, key
-            assert defaults == matrix_scores(parallel, first)[1]
+        pooled = self.pooled(relation_pass_inputs, workers, reverse)
+        assert matrix_scores(pooled, first) == matrix_scores(sequential, first)
 
+    @needs_pool
     def test_sharded_single_worker_matches_sequential(self, relation_pass_inputs):
         ontology1, ontology2, view = relation_pass_inputs
         sequential = subrelation_pass(ontology1, ontology2, view, **self.kwargs())
-        sharded = parallel_subrelation_pass(
-            ontology1, ontology2, view, workers=1, shard_size=3, **self.kwargs()
-        )
-        assert matrix_scores(sharded, ontology1) == matrix_scores(sequential, ontology1)
+        pooled = self.pooled(relation_pass_inputs, 1, False)
+        assert matrix_scores(pooled, ontology1) == matrix_scores(sequential, ontology1)
 
     def test_invalid_arguments(self, relation_pass_inputs):
-        ontology1, ontology2, view = relation_pass_inputs
+        ontology1, ontology2, _view = relation_pass_inputs
         with pytest.raises(ValueError):
-            parallel_subrelation_pass(
-                ontology1, ontology2, view, workers=0, **self.kwargs()
-            )
-        with pytest.raises(ValueError):
-            parallel_subrelation_pass(
-                ontology1, ontology2, view, workers=2, backend="mpi", **self.kwargs()
-            )
+            WorkerPool(0, ontology1, ontology2, None, None, None)
 
     def test_full_align_with_workers_matches_sequential(self, person_pair, person_result):
-        """End-to-end: both passes sharded, thread backend, exact."""
-        config = ParisConfig(workers=2, parallel_backend="thread")
-        parallel = align(person_pair.ontology1, person_pair.ontology2, config)
-        assert store_scores(parallel.instances) == store_scores(person_result.instances)
+        """End to end: every pass on the pool, exact."""
+        parallel = align(person_pair.ontology1, person_pair.ontology2, ParisConfig(workers=2))
+        assert list(parallel.instances.items()) == list(person_result.instances.items())
         assert matrix_scores(parallel.relations12, person_pair.ontology1) == matrix_scores(
             person_result.relations12, person_pair.ontology1
         )
@@ -291,75 +321,103 @@ class TestParallelRelationPass:
 
 
 class TestScoredSubsets:
-    """parallel_score_instances — the warm-start fixpoint's shard unit."""
+    """The warm fixpoint scores only its dirty frontier; on the pool
+    (frontier gate lowered) the entries equal the dict scoring."""
 
-    def test_matches_sequential_scoring(self, pass_inputs):
-        from repro.core.equivalence import ordered_instances, score_instances
-
-        ontology1 = pass_inputs[0]
+    @needs_pool
+    def test_matches_sequential_scoring(self, pass_inputs, monkeypatch):
+        monkeypatch.setattr(aligner_module, "POOL_MIN_FRONTIER", 0)
+        ontology1, ontology2, view, _fun1, _fun2, rel12, rel21, theta = pass_inputs
         subset = ordered_instances(ontology1.instances)[:40]
         sequential = score_instances(subset, *pass_inputs)
-        for workers, backend in [(1, "process"), (2, "thread"), (2, "process")]:
-            entries = parallel_score_instances(
-                subset, *pass_inputs, workers=workers, backend=backend
-            )
-            if backend == "thread" or workers == 1 or FORK_AVAILABLE:
-                assert entries == sequential
-            else:
-                assert len(entries) == len(sequential)
+        for workers in (1, 2):
+            aligner = ParisAligner(ontology1, ontology2, ParisConfig(theta=theta, workers=workers))
+            try:
+                aligner._kernel_for()
+                assert aligner._score_frontier(subset, view, rel12, rel21) == sequential
+                assert (aligner._pool is not None) == (workers > 1)
+            finally:
+                aligner.close()
 
     def test_partition_ordered_preserves_order(self):
         items = list(range(17))
-        shards = partition_ordered(items, workers=3, shard_size=5)
-        assert [len(s) for s in shards] == [5, 5, 5, 2]
-        assert [x for shard in shards for x in shard] == items
-        assert partition_ordered([], workers=2) == []
+        ranges = even_ranges(len(items), 4)
+        assert [hi - lo for lo, hi in ranges] == [5, 5, 5, 2]
+        assert [x for lo, hi in ranges for x in items[lo:hi]] == items
+        assert even_ranges(0, 2) == []
 
 
 class TestConfigKnobs:
     def test_defaults_are_sequential(self):
-        config = ParisConfig()
-        assert config.workers == 1
-        assert config.shard_size is None
-        assert config.parallel_backend == "process"
+        assert ParisConfig().workers == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ParisConfig(workers=0)
-        with pytest.raises(ValueError):
-            ParisConfig(shard_size=0)
-        with pytest.raises(ValueError):
-            ParisConfig(parallel_backend="gpu")
 
 
 class TestIntegrationFixtures:
     """workers=4 matches the session-cached sequential results exactly."""
 
     def test_person_fixture_exact(self, person_pair, person_result):
-        config = ParisConfig(workers=4)
-        parallel = align(person_pair.ontology1, person_pair.ontology2, config)
-        assert_stores_match(
-            parallel.instances, person_result.instances, exact=FORK_AVAILABLE
-        )
-        if FORK_AVAILABLE:
-            assert parallel.assignment12 == person_result.assignment12
-            assert parallel.assignment21 == person_result.assignment21
+        parallel = align(person_pair.ontology1, person_pair.ontology2, ParisConfig(workers=4))
+        assert list(parallel.instances.items()) == list(person_result.instances.items())
+        assert parallel.assignment12 == person_result.assignment12
+        assert parallel.assignment21 == person_result.assignment21
 
     def test_kb_fixture_exact(self, kb_pair, kb_result):
-        config = ParisConfig(
-            max_iterations=4, convergence_threshold=0.0, workers=4
-        )
+        config = ParisConfig(max_iterations=4, convergence_threshold=0.0, workers=4)
         parallel = align(kb_pair.ontology1, kb_pair.ontology2, config)
-        assert_stores_match(
-            parallel.instances, kb_result.instances, exact=FORK_AVAILABLE
-        )
-        if FORK_AVAILABLE:
-            assert parallel.assignment12 == kb_result.assignment12
+        assert list(parallel.instances.items()) == list(kb_result.instances.items())
+        assert parallel.assignment12 == kb_result.assignment12
+        assert list(parallel.classes12.items()) == list(kb_result.classes12.items())
         assert parallel.converged == kb_result.converged
 
-    def test_thread_backend_full_align_exact(self, person_pair, person_result):
-        config = ParisConfig(workers=2, parallel_backend="thread", shard_size=11)
-        parallel = align(person_pair.ontology1, person_pair.ontology2, config)
-        assert store_scores(parallel.instances) == store_scores(
-            person_result.instances
-        )
+
+class TestSequentialOnlyConfigurations:
+    """Without the kernel there is no pool: ``workers=2`` runs every
+    pass sequentially on the dict code and equals ``workers=1``."""
+
+    @pytest.mark.parametrize(
+        "settings", [{"scoring": "dict"}, {"use_negative_evidence": True}]
+    )
+    def test_no_pool_and_equal_results(self, person_pair, monkeypatch, settings):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a pool was forked without a kernel")
+
+        monkeypatch.setattr(aligner_module, "WorkerPool", refuse)
+        left, right = person_pair.ontology1, person_pair.ontology2
+        sequential = align(left, right, ParisConfig(**settings))
+        parallel = align(left, right, ParisConfig(workers=2, **settings))
+        assert list(parallel.instances.items()) == list(sequential.instances.items())
+        assert list(parallel.relations12.items()) == list(sequential.relations12.items())
+        assert list(parallel.classes12.items()) == list(sequential.classes12.items())
+
+
+class TestRetiredKnobs:
+    def test_parent_snapshot_with_retired_knobs_loads_and_serves(self, tmp_path):
+        """Snapshots pickled before the pool became the only route carry
+        ``parallel_backend``/``shard_size`` in their config; they must
+        still load, apply deltas and serve reads."""
+        from repro.datasets.incremental import family_addition, family_pair
+        from repro.service import AlignmentService, Delta, load_state
+
+        left, right = family_pair(6)
+        service = AlignmentService.cold_start(left, right, ParisConfig())
+        # What an older ParisConfig pickled: the retired fields sit in
+        # the instance dict next to the current ones.
+        service.state.config.__dict__.update(parallel_backend="thread", shard_size=7)
+        assert b"parallel_backend" in pickle.dumps(service.state.config)
+        service.snapshot(tmp_path)
+
+        resumed = AlignmentService.from_state(load_state(tmp_path))
+        assert resumed.state.config.workers == 1
+        add1, add2 = family_addition(6, 1)
+        delta = Delta(add1=tuple(add1), add2=tuple(add2))
+        resumed.apply_delta(delta)
+        fresh = AlignmentService.cold_start(*family_pair(6), ParisConfig())
+        fresh.apply_delta(delta)
+        assert list(resumed.state.store.items()) == list(fresh.state.store.items())
+        left_entity, right_entity, probability = next(iter(fresh.state.store.items()))
+        served = resumed.pair(left_entity.name, right_entity.name)
+        assert served["probability"] == probability

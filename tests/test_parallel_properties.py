@@ -1,10 +1,12 @@
-"""Property-based equivalence tests for the parallel engine.
+"""Property-based equivalence tests for the worker pool.
 
-For randomly generated small ontology pairs, the sharded engine must
-produce scores equal to the sequential engine — within 1e-12, for
-workers ∈ {1, 2, 4}, read through *both* directions of the store.
-Hypothesis drives a seeded-random ontology generator, so every failure
-shrinks to a reproducible seed.
+For randomly generated small ontology pairs, runs on the fork-once
+pool (``workers=2``) must produce scores equal to ``workers=1`` — bit
+for bit, read through *both* directions of the store, for one
+instance pass and for full alignments.  Hypothesis drives a
+seeded-random ontology generator, so every failure shrinks to a
+reproducible seed.  (:func:`random_pair` and :func:`pass_inputs` are
+shared with ``test_vectorized.py``.)
 """
 
 from __future__ import annotations
@@ -17,15 +19,19 @@ from hypothesis import strategies as st
 
 from repro import OntologyBuilder, ParisConfig, align
 from repro.core.equivalence import instance_equivalence_pass
+from repro.core.aligner import ParisAligner
 from repro.core.functionality import FunctionalityOracle
 from repro.core.literal_index import LiteralIndex
 from repro.core.matrix import SubsumptionMatrix
-from repro.core.parallel import parallel_instance_equivalence_pass
+from repro.core.parallel import fork_available
 from repro.core.store import EquivalenceStore
+from repro.core.vectorized import HAVE_NUMPY
 from repro.core.view import EquivalenceView
 from repro.literals import IdentitySimilarity
 
-TOLERANCE = 1e-12
+needs_pool = pytest.mark.skipif(
+    not (HAVE_NUMPY and fork_available()), reason="pool needs numpy and fork"
+)
 
 #: Small pools so random ontologies overlap enough to produce matches.
 _VALUES = ["Alice", "Bob", "Carol", "Dave", "Erin", "1959", "1961", "Tupelo"]
@@ -77,51 +83,53 @@ def pass_inputs(pair):
     )
 
 
-def assert_scores_close(parallel_store, sequential_store):
-    forward_seq = {(l, r): p for l, r, p in sequential_store.items()}
-    forward_par = {(l, r): p for l, r, p in parallel_store.items()}
-    assert forward_par.keys() == forward_seq.keys()
-    for key, expected in forward_seq.items():
-        assert abs(forward_par[key] - expected) <= TOLERANCE, key
-    # the backward direction must carry the very same probabilities
-    for (left, right), expected in forward_seq.items():
-        backward = parallel_store.equals_of_right(right)
-        assert abs(backward[left] - expected) <= TOLERANCE, (left, right)
+def assert_same_scores(parallel_store, sequential_store):
+    """Same entries, same floats, same insertion order, both directions."""
+    assert list(parallel_store.items()) == list(sequential_store.items())
+    for _left, right, _p in sequential_store.items():
+        assert parallel_store.equals_of_right(right) == sequential_store.equals_of_right(right)
 
 
+def assert_same_alignment(parallel, sequential):
+    assert_same_scores(parallel.instances, sequential.instances)
+    assert parallel.assignment12 == sequential.assignment12
+    assert parallel.assignment21 == sequential.assignment21
+    assert list(parallel.relations12.items()) == list(sequential.relations12.items())
+    assert list(parallel.relations21.items()) == list(sequential.relations21.items())
+
+
+@needs_pool
 @given(seed=st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=30, deadline=None)
 def test_random_ontologies_parallel_equals_sequential(seed):
+    """One instance pass: the aligner's pool route equals the dict pass."""
     inputs = pass_inputs(random_pair(seed))
+    left, right, view, _fun1, _fun2, rel12, rel21, theta = inputs
     sequential = instance_equivalence_pass(*inputs)
-    for workers in (1, 2, 4):
-        parallel = parallel_instance_equivalence_pass(
-            *inputs, workers=workers, backend="thread"
-        )
-        assert_scores_close(parallel, sequential)
+    aligner = ParisAligner(left, right, ParisConfig(theta=theta, workers=2))
+    try:
+        pooled = aligner._instance_pass(view, rel12, rel21)
+    finally:
+        aligner.close()
+    assert_same_scores(pooled, sequential)
 
 
+@needs_pool
 @given(seed=st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=15, deadline=None)
 def test_random_ontologies_full_align_equal(seed):
     left, right = random_pair(seed)
     sequential = align(left, right, ParisConfig(max_iterations=3))
-    parallel = align(
-        left,
-        right,
-        ParisConfig(max_iterations=3, workers=4, parallel_backend="thread"),
-    )
-    assert_scores_close(parallel.instances, sequential.instances)
-    assert parallel.assignment12 == sequential.assignment12
-    assert parallel.assignment21 == sequential.assignment21
+    parallel = align(left, right, ParisConfig(max_iterations=3, workers=2))
+    assert_same_alignment(parallel, sequential)
 
 
+@needs_pool
 @pytest.mark.parametrize("seed", [0, 7, 2011])
 def test_random_ontologies_process_backend(seed):
-    """A few seeds through real worker processes (slower than threads)."""
-    inputs = pass_inputs(random_pair(seed))
-    sequential = instance_equivalence_pass(*inputs)
-    parallel = parallel_instance_equivalence_pass(
-        *inputs, workers=2, backend="process"
-    )
-    assert_scores_close(parallel, sequential)
+    """A few seeds through the pool's worker processes against the dict
+    oracle: the pooled kernel must equal the reference engine too."""
+    left, right = random_pair(seed)
+    oracle = align(left, right, ParisConfig(scoring="dict"))
+    parallel = align(left, right, ParisConfig(workers=2))
+    assert_same_alignment(parallel, oracle)

@@ -454,6 +454,77 @@ class TestWalSegments:
         wal.close()
 
 
+    def test_failed_fsync_stops_the_log(self, tmp_path, monkeypatch):
+        """An fsync EIO fail-stops the log: both submitters waiting on
+        the failed fsync's offset fail, the batch never reaches the
+        engine, and every later submit fails too.  (Retrying the fsync
+        could "succeed" over dropped pages and acknowledge records that
+        are not on disk.)"""
+        import errno
+        import os
+
+        from repro.service.stream import wal as wal_module
+
+        left, right = family_pair(6)
+        service = AlignmentService.cold_start(left, right, ParisConfig())
+        version = service.state.version
+        applied = []
+        apply_delta = service.apply_delta
+        monkeypatch.setattr(
+            service,
+            "apply_delta",
+            lambda *args, **kwargs: applied.append(args) or apply_delta(*args, **kwargs),
+        )
+        wal = WriteAheadLog(tmp_path / "wal.ndjson")
+        batcher = DeltaBatcher(service, wal=wal, max_lag=0.01)
+        real_fsync = os.fsync
+        fsync_calls = []
+
+        def fsync_eio_once(fd):
+            fsync_calls.append(fd)
+            if len(fsync_calls) > 1:
+                return real_fsync(fd)
+            # Fail only once the second submitter waits on this fsync.
+            deadline = time.monotonic() + 30
+            while wal._sync_waiters < 2 and time.monotonic() < deadline:
+                time.sleep(0.002)
+            raise OSError(errno.EIO, "injected EIO")
+
+        monkeypatch.setattr(wal_module.os, "fsync", fsync_eio_once)
+        errors = {}
+
+        def submit(name):
+            try:
+                batcher.submit(family_delta(6), source="w", seq=1)
+            except OSError as error:
+                errors[name] = error
+
+        first = threading.Thread(target=submit, args=("first",))
+        first.start()
+        deadline = time.monotonic() + 30
+        while wal.offset < 1 and time.monotonic() < deadline:
+            time.sleep(0.002)
+        # A redelivery of the same record: its ack waits on offset 1 too.
+        second = threading.Thread(target=submit, args=("redelivery",))
+        second.start()
+        first.join(timeout=60)
+        second.join(timeout=60)
+        assert set(errors) == {"first", "redelivery"}
+        assert all(error.errno == errno.EIO for error in errors.values())
+        assert wal.durable_offset == 0
+
+        batcher.start()
+        assert batcher.flush(timeout=60)
+        assert applied == []
+        assert service.state.version == version and service.state.wal_offset == 0
+        with pytest.raises(OSError):
+            batcher.submit(family_delta(7), source="w", seq=2)
+        with pytest.raises(OSError):
+            wal.sync()
+        batcher.close()
+        wal.close()
+
+
 # ----------------------------------------------------------------------
 # batcher
 # ----------------------------------------------------------------------

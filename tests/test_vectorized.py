@@ -110,7 +110,7 @@ class TestEngineSelection:
 
 class TestWorkerPoolPath:
     def test_pool_align_matches_sequential(self, monkeypatch):
-        """The persistent-pool engine (process backend) must be exact.
+        """The persistent-pool engine must be exact.
 
         The gates that keep the pool away from tiny inputs are lowered
         so these small fixtures actually exercise the fork/dispatch/
@@ -121,11 +121,7 @@ class TestWorkerPoolPath:
         for seed in (0, 5, 9):
             left, right = random_pair(seed)
             reference = align(left, right, ParisConfig(scoring="dict"))
-            pooled = align(
-                left,
-                right,
-                ParisConfig(workers=2, parallel_backend="process"),
-            )
+            pooled = align(left, right, ParisConfig(workers=2))
             assert result_snapshot(pooled) == result_snapshot(reference)
 
     def test_pool_align_with_classes_matches_sequential(self, monkeypatch):
@@ -136,6 +132,48 @@ class TestWorkerPoolPath:
         monkeypatch.setattr(aligner_module, "KERNEL_REBUILD_MIN_FRONTIER", 0)
         left, right = family_pair(4, with_classes=True)
         reference = align(left, right, ParisConfig(scoring="dict"))
-        pooled = align(left, right, ParisConfig(workers=2, parallel_backend="process"))
+        pooled = align(left, right, ParisConfig(workers=2))
         assert result_snapshot(pooled) == result_snapshot(reference)
         assert result_snapshot(pooled)[3]  # classes12 actually non-empty
+
+    def test_warm_pool_route_matches_sequential(self, monkeypatch):
+        """Warm passes on the pool: a resident service with ``workers=2``
+        equals ``workers=1`` bit for bit over a run of deltas.
+
+        Both frontier gates are lowered so every warm pass rebuilds the
+        kernel and scores its frontier on the pool (a counting spy
+        checks the pool route really ran)."""
+        from repro.core.parallel import WorkerPool
+        from repro.datasets.incremental import family_addition, family_pair
+        from repro.service import AlignmentService, Delta
+
+        monkeypatch.setattr(aligner_module, "POOL_MIN_FRONTIER", 0)
+        monkeypatch.setattr(aligner_module, "KERNEL_REBUILD_MIN_FRONTIER", 0)
+        pooled_passes = []
+        score_on_pool = WorkerPool.score_instances
+
+        def counting(self, *args):
+            pooled_passes.append(len(args[0]))
+            return score_on_pool(self, *args)
+
+        monkeypatch.setattr(WorkerPool, "score_instances", counting)
+        services = {
+            workers: AlignmentService.cold_start(
+                *family_pair(6, with_classes=True), ParisConfig(workers=workers)
+            )
+            for workers in (1, 2)
+        }
+        cold_pool_passes = len(pooled_passes)
+        assert cold_pool_passes > 0
+        for start in (6, 7, 9):
+            add1, add2 = family_addition(start, 1 + start % 2, with_classes=True)
+            delta = Delta(add1=tuple(add1), add2=tuple(add2))
+            for service in services.values():
+                service.apply_delta(delta)
+            sequential, pooled = services[1].state, services[2].state
+            assert list(pooled.store.items()) == list(sequential.store.items())
+            for surface in ("relations12", "relations21", "classes12", "classes21"):
+                assert list(getattr(pooled, surface).items()) == list(
+                    getattr(sequential, surface).items()
+                ), surface
+        assert len(pooled_passes) > cold_pool_passes  # warm passes used the pool
