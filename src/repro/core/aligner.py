@@ -49,11 +49,7 @@ from ..rdf.terms import Node, Relation, Resource
 from .config import ParisConfig
 from .equivalence import instance_equivalence_pass, ordered_instances, score_instances
 from .functionality import FunctionalityOracle
-from .incremental import (
-    IncrementalRelationPass,
-    RestrictedViewMaintainer,
-    current_assignments,
-)
+from .incremental import IncrementalRelationPass, RestrictedViewMaintainer
 from .literal_index import LiteralIndex
 from .matrix import SubsumptionMatrix
 from .parallel import WorkerPool, fork_available, parallel_subrelation_pass
@@ -578,6 +574,7 @@ class ParisAligner:
             classes12=classes12,
             classes21=classes21,
             converged=converged,
+            num_iterations=iteration,
             iterations=snapshots,
         )
 
@@ -681,9 +678,13 @@ class ParisAligner:
             object)`` per ontology, for targeted relation-row updates.
         view_maintainer:
             A resident :class:`RestrictedViewMaintainer` over ``store``
-            (requires ``mutate_store=True``): the restricted view is
-            then *updated* from the touched rows instead of rebuilt
-            from all pairs each pass.  ``None`` builds a fresh one.
+            (requires ``mutate_store=True``): the maximal assignments
+            and the restricted view are then *updated* from the touched
+            rows instead of rebuilt from all pairs.  ``None`` builds a
+            fresh one (O(store)).  The result's ``assignment12`` /
+            ``assignment21`` are the maintainer's live dicts, and its
+            :meth:`~AlignmentResult.net_assignment_changes` is the
+            change log the maintainer recorded during this run.
         class12_cache, class21_cache:
             Resident :class:`~repro.core.subclasses.IncrementalClassPass`
             caches; when given, only class rows whose member rows moved
@@ -731,7 +732,6 @@ class ParisAligner:
         (near-)geometrically until the stationarity criterion fires.
         """
         config = self.config
-        theta = config.theta
         tolerance = config.warm_tolerance
         force_full = config.use_negative_evidence
         dirty: Set[Resource] = set(dirty_instances)
@@ -740,26 +740,17 @@ class ParisAligner:
         pending12: Iterable[Tuple[Relation, Node, Node]] = list(delta_statements1)
         pending21: Iterable[Tuple[Relation, Node, Node]] = list(delta_statements2)
         working = store if mutate_store else store.copy()
-        maintainer: Optional[RestrictedViewMaintainer] = None
-        if config.restrict_to_maximal_assignment:
-            maintainer = view_maintainer or RestrictedViewMaintainer(working)
-            if maintainer.store is not working:
-                raise ValueError(
-                    "view_maintainer must maintain the store being warmed "
-                    "(pass mutate_store=True for a resident maintainer)"
-                )
-            view_store = maintainer.view_store
-        else:
-            view_store = working
-        snapshots: List[IterationSnapshot] = []
-        # Snapshot chain base: the pre-delta assignments.  Each pass's
-        # snapshot then stores only its assignment delta, so a resident
-        # service with keep_snapshots on pays O(frontier) per pass, not
-        # O(matched) copies.
-        snap_prev12: Dict[Resource, Tuple[Resource, float]] = {}
-        snap_prev21: Dict[Resource, Tuple[Resource, float]] = {}
-        if config.keep_snapshots:
-            snap_prev12, snap_prev21 = current_assignments(maintainer, working)
+        # The maintainer keeps both maximal assignments (and their
+        # change log) live in every mode; its restricted view is what
+        # the passes read only under the Section 5.2 restriction.
+        maintainer = view_maintainer or RestrictedViewMaintainer(working)
+        if maintainer.store is not working:
+            raise ValueError(
+                "view_maintainer must maintain the store being warmed "
+                "(pass mutate_store=True for a resident maintainer)"
+            )
+        restricted = config.restrict_to_maximal_assignment
+        view_store = maintainer.view_store if restricted else working
         previous_log: Optional[Dict[Tuple[Resource, Resource], Tuple[float, float]]] = None
         # Members whose view rows moved at all (any non-zero change):
         # the exact invalidation set of the class-row caches.
@@ -770,7 +761,6 @@ class ParisAligner:
         stalled_passes = 0
         converged = False
         for iteration in range(1, config.warm_max_iterations + 1):
-            started = time.perf_counter()
             with span("pass.warm", iteration=iteration) as pass_span:
                 view = self.make_view(view_store)
                 changes12 = rel12_cache.refresh(view, changed_left, pending12)
@@ -812,10 +802,11 @@ class ParisAligner:
                     overlay.update(entries)
                 # View maintenance replaces the old full restricted-view
                 # rebuild + full store diff: only the touched rows (and the
-                # rights they mention) are reconsidered.
-                if maintainer is not None:
-                    view_changes = maintainer.apply(overlay)
-                else:
+                # rights they mention) are reconsidered.  It runs in every
+                # mode, since it keeps the assignments and their change
+                # log; unrestricted passes read the store rows themselves.
+                view_changes = maintainer.apply(overlay)
+                if not restricted:
                     view_changes = {
                         (left, right): (old, new)
                         for left, right, old, new in overlay.row_changes()
@@ -841,7 +832,6 @@ class ParisAligner:
                             dirty.add(other)
                 working = overlay.commit()
                 pass_span.annotate(max_change=round(max_change, 9))
-            duration = time.perf_counter() - started
             if max_change < best_change:
                 best_change = max_change
                 stalled_passes = 0
@@ -857,26 +847,6 @@ class ParisAligner:
                 )
             )
             previous_log = view_changes
-            if config.keep_snapshots:
-                assignment12, assignment21 = current_assignments(maintainer, working)
-                snapshots.append(
-                    IterationSnapshot.capture(
-                        index=iteration,
-                        duration_seconds=duration,
-                        change_fraction=None,
-                        num_equivalences=len(working),
-                        assignment12=assignment12,
-                        assignment21=assignment21,
-                        # Copies: the cache matrices keep mutating in
-                        # place on later passes (and later deltas).
-                        relations12=rel12_cache.matrix.copy(),
-                        relations21=rel21_cache.matrix.copy(),
-                        previous=snapshots[-1] if snapshots else None,
-                        previous12=snap_prev12,
-                        previous21=snap_prev21,
-                    )
-                )
-                snap_prev12, snap_prev21 = assignment12, assignment21
             if max_change <= tolerance:
                 converged = True
                 break
@@ -908,20 +878,20 @@ class ParisAligner:
                 classes21 = class21_cache.matrix(final_view)
             else:
                 classes21 = self._class_pass(final_view, reverse=True)
-        final_assignment12, final_assignment21 = current_assignments(maintainer, working)
         return AlignmentResult(
             left_name=self.ontology1.name,
             right_name=self.ontology2.name,
             instances=working,
-            assignment12=final_assignment12,
-            assignment21=final_assignment21,
+            assignment12=maintainer.assignment12,
+            assignment21=maintainer.assignment21,
             relations12=rel12_cache.matrix,
             relations21=rel21_cache.matrix,
             classes12=classes12,
             classes21=classes21,
             converged=converged,
-            iterations=snapshots,
+            num_iterations=iteration,
             pairs_touched=pairs_touched,
+            changes=maintainer.take_changes(),
         )
 
     @staticmethod

@@ -85,7 +85,9 @@ class ParisConfig:
     keep_snapshots:
         Record per-iteration maximal assignments for Table-3/5 style
         per-iteration evaluation (costs memory proportional to the
-        number of matched instances per iteration).
+        number of matched instances per iteration).  Cold runs only:
+        warm runs (:meth:`~repro.core.aligner.ParisAligner.warm_align`)
+        record no snapshots and report their net change log instead.
     workers:
         Worker processes for every pass (Section 5.1 runs them "in
         parallel on all available processors").  ``1`` (default) runs

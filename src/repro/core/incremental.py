@@ -34,7 +34,10 @@ rights appearing in their old/new rows — can change their best match.
 the restricted store live under row replacements, applying an
 :class:`~repro.core.store.OverlayStore`'s touched rows in O(frontier)
 and reporting exactly the view entries that moved (which is also what
-replaces the warm loop's full store diffs).
+replaces the warm loop's full store diffs).  It also records the
+pre-run value of every assignment entry it moves, which makes it the
+one source of a warm run's net change log
+(:meth:`RestrictedViewMaintainer.take_changes`).
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 from ..rdf.ontology import Ontology
 from ..rdf.terms import Node, Relation, Resource
 from .matrix import SubsumptionMatrix
+from .result import Assignment, AssignmentDelta, ChangeLog
 from .store import EquivalenceStore, OverlayStore, best_counterpart
 from .subrelations import score_relation, statement_terms
 from .view import EquivalenceView
@@ -297,19 +301,6 @@ class IncrementalRelationPass:
         return self._install_row(relation, self._row_from_sums(relation))
 
 
-def current_assignments(
-    maintainer: Optional["RestrictedViewMaintainer"], store: EquivalenceStore
-) -> Tuple[Dict[Resource, Tuple[Resource, float]], Dict[Resource, Tuple[Resource, float]]]:
-    """Both maximal assignments of ``store`` — copied from a resident
-    maintainer when one exists (O(matched) dict copies; the live dicts
-    keep mutating on later passes/deltas), computed fresh otherwise.
-    The single definition behind warm-align snapshots, warm-align
-    results and service attach, so they can never disagree."""
-    if maintainer is not None:
-        return dict(maintainer.assignment12), dict(maintainer.assignment21)
-    return store.maximal_assignment(), store.maximal_assignment(reverse=True)
-
-
 class RestrictedViewMaintainer:
     """Keeps ``store.restricted_to_maximal()`` live under row replacements.
 
@@ -327,13 +318,18 @@ class RestrictedViewMaintainer:
     assignment12, assignment21:
         The maintained maximal assignments, equal to
         ``store.maximal_assignment()`` / ``(reverse=True)``.  Mutated in
-        place by :meth:`apply`; copy before handing out.
+        place by :meth:`apply`; readers share them live (the service
+        reads them under its engine lock).
     """
 
     def __init__(self, store: EquivalenceStore) -> None:
         self.store = store
         self.assignment12 = store.maximal_assignment()
         self.assignment21 = store.maximal_assignment(reverse=True)
+        #: entity → its assignment value before the first change since
+        #: the last :meth:`take_changes` (``None``: it was unmatched).
+        self._before12: AssignmentDelta = {}
+        self._before21: AssignmentDelta = {}
         self.view_store = EquivalenceStore(store.truncation_threshold)
         for left, (right, probability) in self.assignment12.items():
             self.view_store.set(left, right, probability)
@@ -349,7 +345,8 @@ class RestrictedViewMaintainer:
         the base, new rows through the overlay).  Returns the restricted
         view entries that changed, as ``(left, right) -> (old, new)`` —
         the warm loop's convergence/frontier signal, in O(frontier)
-        instead of a full store diff.
+        instead of a full store diff.  Every assignment entry it moves
+        is also noted for :meth:`take_changes`.
         """
         if overlay.base is not self.store:
             raise ValueError("overlay must be layered over the maintained store")
@@ -366,21 +363,17 @@ class RestrictedViewMaintainer:
             if old_best is not None:
                 candidates.add((left, old_best[0]))
             new_best = best_counterpart(new_row)
-            if new_best is None:
-                assignment12.pop(left, None)
-            else:
-                assignment12[left] = new_best
+            if new_best is not None:
                 candidates.add((left, new_best[0]))
+            _move(assignment12, self._before12, left, old_best, new_best)
         for right in affected_rights:
             old_best = assignment21.get(right)
             if old_best is not None:
                 candidates.add((old_best[0], right))
             new_best = best_counterpart(overlay.equals_of_right(right))
-            if new_best is None:
-                assignment21.pop(right, None)
-            else:
-                assignment21[right] = new_best
+            if new_best is not None:
                 candidates.add((new_best[0], right))
+            _move(assignment21, self._before21, right, old_best, new_best)
         changes: Dict[Tuple[Resource, Resource], Tuple[float, float]] = {}
         view = self.view_store
         for left, right in candidates:
@@ -401,3 +394,48 @@ class RestrictedViewMaintainer:
                 view.set(left, right, desired)
             changes[(left, right)] = (current, desired)
         return changes
+
+    def take_changes(self) -> Tuple[ChangeLog, ChangeLog]:
+        """The net change logs since the last call, and reset them.
+
+        One ``entity -> (old, new)`` map per assignment (left → right,
+        right → left): ``old`` is the entity's value when it first
+        moved, ``new`` its current one.  Entities that ended where they
+        started are left out.  O(entities changed).
+        """
+        changes = (
+            _net_changes(self._before12, self.assignment12),
+            _net_changes(self._before21, self.assignment21),
+        )
+        self._before12 = {}
+        self._before21 = {}
+        return changes
+
+
+def _net_changes(before: AssignmentDelta, assignment: Assignment) -> ChangeLog:
+    """``entity -> (old, new)`` for the noted entities that moved."""
+    log: ChangeLog = {}
+    for entity, old in before.items():
+        new = assignment.get(entity)
+        if new != old:
+            log[entity] = (old, new)
+    return log
+
+
+def _move(
+    assignment: Assignment,
+    before: AssignmentDelta,
+    entity: Resource,
+    old: Optional[Tuple[Resource, float]],
+    new: Optional[Tuple[Resource, float]],
+) -> None:
+    """Set ``assignment[entity]`` to ``new`` (``None`` drops it),
+    noting ``old`` in ``before`` on the entity's first change."""
+    if new == old:
+        return
+    if entity not in before:
+        before[entity] = old
+    if new is None:
+        del assignment[entity]
+    else:
+        assignment[entity] = new

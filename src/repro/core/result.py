@@ -7,26 +7,24 @@ An :class:`AlignmentResult` bundles everything Section 6 evaluates:
 * relation-inclusion matrices in both directions (Tables 3–5 report
   them separately as ``yago ⊆ DBp`` and ``DBp ⊆ yago``),
 * class-inclusion matrices in both directions,
-* per-iteration snapshots carrying the maximal assignment and relation
-  matrices of each iteration, which is what the per-iteration rows of
-  Tables 3 and 5 are computed from.
+* for cold runs, per-iteration snapshots carrying the maximal
+  assignment and relation matrices of each iteration, which is what the
+  per-iteration rows of Tables 3 and 5 are computed from,
+* for warm runs, the net :data:`ChangeLog` of both maximal assignments
+  — ``entity -> (old, new)`` — recorded by the restricted-view
+  maintainer as the passes move rows, in O(entities changed).
 
-Snapshots store assignment state *frontier-proportionally*: each
-:class:`IterationSnapshot` holds only the delta of the maximal
-assignments against the previous pass (the chain head additionally
-carries the assignments the run started from), and the
-``assignment12``/``assignment21`` properties reconstruct the full
-per-pass assignment by replaying the chain.  A cold run starts from
-empty assignments, so its first snapshot's delta is the full
-first-pass assignment — same cost as before — while a warm-start run
-(whose passes move only a small dirty frontier) stores O(changed)
-entries per pass instead of O(matched) copies.
+Snapshots store assignment state as a chain of deltas: each
+:class:`IterationSnapshot` holds only the change of the maximal
+assignments against the previous pass (a cold chain starts from empty
+assignments), and the ``assignment12``/``assignment21`` properties
+reconstruct the full per-pass assignment by replaying the chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..rdf.terms import Relation, Resource
 from .matrix import SubsumptionMatrix
@@ -39,6 +37,14 @@ Assignment = Dict[Resource, Tuple[Resource, float]]
 #: (counterpart, probability), or ``None`` when the instance dropped
 #: out of the assignment entirely.
 AssignmentDelta = Dict[Resource, Optional[Tuple[Resource, float]]]
+
+#: A run's net change to a maximal assignment: entity → ``(old, new)``,
+#: each side a ``(counterpart, probability)`` or ``None`` when the
+#: entity is absent from that assignment.  Entities that ended where
+#: they started are not listed.
+ChangeLog = Dict[
+    Resource, Tuple[Optional[Tuple[Resource, float]], Optional[Tuple[Resource, float]]]
+]
 
 
 def assignment_delta(previous: Assignment, current: Assignment) -> AssignmentDelta:
@@ -68,43 +74,6 @@ def apply_assignment_delta(assignment: Assignment, delta: AssignmentDelta) -> As
     return assignment
 
 
-def iter_pair_changes(
-    changes: AssignmentDelta, previous: Assignment
-) -> Iterable[Tuple[Resource, Optional[Tuple[Resource, float]], Optional[Tuple[Resource, float]]]]:
-    """``(entity, old match, new match)`` rows of one net change log.
-
-    ``previous`` must be the assignment *before* ``changes`` applied —
-    the convention every consumer of the change log shares (change
-    events, the query index, the state digest): the old side of a row
-    comes from the pre-delta assignment, the new side from the delta
-    itself, and an entity absent from either side reads as ``None``.
-    """
-    for entity, match in changes.items():
-        yield entity, previous.get(entity), match
-
-
-def merge_assignment_deltas(
-    deltas: Iterable[AssignmentDelta], base: Assignment
-) -> AssignmentDelta:
-    """Collapse consecutive per-pass deltas into one *net* delta.
-
-    Later passes win per entity, and entities whose final value equals
-    what ``base`` already held (a change that reverted mid-run) drop
-    out — the result is exactly the change log a downstream consumer
-    (secondary query indexes, change subscriptions) must apply to move
-    from the pre-run assignment to the post-run one, computed in
-    O(total changes), never O(matched).
-    """
-    merged: AssignmentDelta = {}
-    for delta in deltas:
-        merged.update(delta)
-    return {
-        entity: match
-        for entity, match in merged.items()
-        if base.get(entity) != match
-    }
-
-
 @dataclass
 class IterationSnapshot:
     """State captured at the end of one fixpoint iteration.
@@ -127,7 +96,7 @@ class IterationSnapshot:
     #: Number of stored positive equivalences after this iteration.
     num_equivalences: int
     #: Changes of the left → right maximal assignment relative to the
-    #: previous pass (or to ``base12`` on the chain head).
+    #: previous pass (or to the empty assignment on the chain head).
     assignment12_delta: AssignmentDelta
     #: Changes of the right → left maximal assignment.
     assignment21_delta: AssignmentDelta
@@ -137,10 +106,6 @@ class IterationSnapshot:
     relations21: SubsumptionMatrix[Relation]
     #: The previous pass's snapshot (``None`` on the chain head).
     previous: Optional["IterationSnapshot"] = field(default=None, repr=False)
-    #: Assignments the chain starts from; only read on the head
-    #: (empty for cold runs, the pre-delta assignment for warm runs).
-    base12: Assignment = field(default_factory=dict, repr=False)
-    base21: Assignment = field(default_factory=dict, repr=False)
 
     @classmethod
     def capture(
@@ -161,11 +126,9 @@ class IterationSnapshot:
         """Snapshot one pass, storing only its assignment changes.
 
         ``previous12``/``previous21`` are the full assignments that
-        ``previous`` reconstructs to — the fixpoint loops track them
-        anyway for their convergence criteria, so capturing never has
-        to replay the chain.  When ``previous`` is ``None`` they become
-        the chain's base (copied, so later caller mutation cannot skew
-        reconstruction).
+        ``previous`` reconstructs to (empty on the chain head) — the
+        cold loop tracks them anyway for its convergence criterion, so
+        capturing never has to replay the chain.
         """
         return cls(
             index=index,
@@ -177,8 +140,6 @@ class IterationSnapshot:
             relations12=relations12,
             relations21=relations21,
             previous=previous,
-            base12=dict(previous12) if previous is None else {},
-            base21=dict(previous21) if previous is None else {},
         )
 
     def _reconstruct(self, forward: bool) -> Assignment:
@@ -188,8 +149,7 @@ class IterationSnapshot:
             chain.append(node)
             node = node.previous
         chain.reverse()
-        head = chain[0]
-        assignment = dict(head.base12 if forward else head.base21)
+        assignment: Assignment = {}
         for snapshot in chain:
             apply_assignment_delta(
                 assignment,
@@ -240,42 +200,27 @@ class AlignmentResult:
     #: Whether the run stopped because the change criterion was met
     #: (as opposed to hitting the iteration cap).
     converged: bool
-    #: Per-iteration snapshots (empty if ``keep_snapshots`` was off).
+    #: Fixpoint iterations that ran (warm runs: warm passes).
+    num_iterations: int = 0
+    #: Per-iteration snapshots of a cold run (empty if
+    #: ``keep_snapshots`` was off, and always for warm runs).
     iterations: List[IterationSnapshot] = field(default_factory=list)
     #: Store/view entry writes performed by the warm-start fixpoint
     #: (0 for cold runs) — the O(frontier) work metric the incremental
     #: microbenchmark asserts against the store size.
     pairs_touched: int = 0
+    #: Net change logs of a warm run, left → right and right → left
+    #: (``None`` for cold runs).
+    changes: Optional[Tuple[ChangeLog, ChangeLog]] = None
 
-    @property
-    def num_iterations(self) -> int:
-        """Number of fixpoint iterations that ran."""
-        return len(self.iterations)
+    def net_assignment_changes(self) -> Optional[Tuple[ChangeLog, ChangeLog]]:
+        """The warm run's net change log for both maximal assignments.
 
-    def net_assignment_changes(
-        self,
-    ) -> Optional[Tuple[AssignmentDelta, AssignmentDelta]]:
-        """The run's net change log for both maximal assignments.
-
-        Merges the per-iteration snapshot deltas against the chain
-        head's base assignment (:func:`merge_assignment_deltas`), so a
-        warm run costs O(changes) — the frontier — not O(matched).  An
-        entity maps to its new ``(counterpart, probability)`` or
-        ``None`` when it dropped out of the assignment.  Returns
-        ``None`` when the run kept no snapshots (``keep_snapshots``
-        off); callers then diff the full assignments themselves.
+        Recorded by the restricted-view maintainer while the passes
+        moved rows, so it costs O(entities changed), never O(matched).
+        ``None`` for cold runs.
         """
-        if not self.iterations:
-            return None
-        head = self.iterations[0]
-        return (
-            merge_assignment_deltas(
-                (snap.assignment12_delta for snap in self.iterations), head.base12
-            ),
-            merge_assignment_deltas(
-                (snap.assignment21_delta for snap in self.iterations), head.base21
-            ),
-        )
+        return self.changes
 
     def instance_pairs(self, threshold: float = 0.0) -> List[Tuple[Resource, Resource, float]]:
         """Maximal-assignment pairs with probability ≥ ``threshold``.

@@ -102,7 +102,7 @@ def load_result(directory: Union[str, Path]) -> AlignmentResult:
     """Load an alignment result saved by :func:`save_result`.
 
     Iteration snapshots are not persisted; the loaded result carries
-    the final state only.
+    the final state and the iteration count only.
     """
     directory = Path(directory)
     meta: Dict[str, str] = {}
@@ -136,7 +136,7 @@ def load_result(directory: Union[str, Path]) -> AlignmentResult:
         classes12=classes12,
         classes21=classes21,
         converged=bool(int(meta.get("converged", "0"))),
-        iterations=[],
+        num_iterations=int(meta.get("iterations", "0")),
     )
 
 

@@ -9,7 +9,8 @@ one well-mixed hash per ``(left, right, quantized score)`` pair.
 
 XOR makes the fold order-insensitive and invertible: removing a pair
 XORs the same hash back out, so the engine maintains the digest in
-O(changes) from the warm loop's existing net change log
+O(changes) from the ``(old, new)`` change log the restricted-view
+maintainer records during a warm run
 (:meth:`repro.core.result.AlignmentResult.net_assignment_changes`)
 instead of re-walking the assignment.  Scores are quantized to the
 1e-9 contract before hashing; the replication protocol ships the
@@ -32,7 +33,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
-from ..core.result import Assignment, AssignmentDelta, iter_pair_changes
+from ..core.result import Assignment, ChangeLog
 from ..rdf.terms import Resource
 from .metrics import REGISTRY
 
@@ -197,21 +198,13 @@ class DigestMaintainer:
         self.last_touched: Dict[Resource, int] = {}
         DIGEST_OFFSET.set(wal_offset)
 
-    def apply(
-        self,
-        changes12: AssignmentDelta,
-        previous12: Assignment,
-        wal_offset: int,
-    ) -> int:
-        """Fold one delta's net assignment changes into the digest.
-
-        ``previous12`` is the assignment *before* the changes were
-        applied (the engine hands over its retired dict), so the old
-        pair hash of every changed entity can be XORed back out.
-        """
+    def apply(self, changes12: ChangeLog, wal_offset: int) -> int:
+        """Fold one delta's net ``entity -> (old, new)`` change log of
+        the left → right assignment into the digest: the old pair hash
+        of every changed entity is XORed out, the new one in."""
         with self._lock:
             digest = self.digest
-            for entity, old, match in iter_pair_changes(changes12, previous12):
+            for entity, (old, match) in changes12.items():
                 if old is not None:
                     digest ^= pair_hash(entity.name, old[0].name, old[1])
                 if match is not None:

@@ -38,12 +38,9 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..core.aligner import ParisAligner
 from ..core.config import ParisConfig
-from ..core.incremental import (
-    IncrementalRelationPass,
-    RestrictedViewMaintainer,
-    current_assignments,
-)
-from ..core.result import Assignment, AssignmentDelta, assignment_delta
+from ..core.incremental import IncrementalRelationPass, RestrictedViewMaintainer
+from ..core.result import ChangeLog
+from ..core.result import assignment_delta  # noqa: F401 - perfbench/spans.py patches it
 from ..core.subclasses import IncrementalClassPass
 from ..obs import get_event_logger
 from ..obs.audit import (
@@ -144,18 +141,17 @@ class AlignmentService:
         # Resident restricted-view maintainer: built once (O(store)) at
         # attach, then warm passes fold their touched rows into it in
         # O(frontier) instead of rebuilding the Section 5.2 restriction
-        # from all pairs.
-        if config.restrict_to_maximal_assignment:
-            self._view_maintainer: Optional[RestrictedViewMaintainer] = (
-                RestrictedViewMaintainer(state.store)
-            )
-            view = self.aligner.make_view(self._view_maintainer.view_store)
-        else:
-            self._view_maintainer = None
-            view = self.aligner.make_view(state.store)
-        self._assignment12, self._assignment21 = current_assignments(
-            self._view_maintainer, state.store
+        # from all pairs.  Its two maximal assignments are the ones the
+        # engine serves (live, read under ``self.lock``), and its change
+        # log is the one source of per-delta assignment changes.
+        self._view_maintainer = RestrictedViewMaintainer(state.store)
+        view = self.aligner.make_view(
+            self._view_maintainer.view_store
+            if config.restrict_to_maximal_assignment
+            else state.store
         )
+        self._assignment12 = self._view_maintainer.assignment12
+        self._assignment21 = self._view_maintainer.assignment21
         # Order-insensitive state digest (PR 10): recomputed in full at
         # attach, then maintained O(changes) per delta.  A snapshot that
         # carried a digest is integrity-checked here — the bootstrap
@@ -215,9 +211,7 @@ class AlignmentService:
             self._assignment12, version=state.version, wal_offset=state.wal_offset
         )
         self.change_listeners: List = []
-        self._pending_changes: Optional[
-            Tuple[AssignmentDelta, AssignmentDelta, Assignment, Assignment]
-        ] = None
+        self._pending_changes: Optional[Tuple[ChangeLog, ChangeLog]] = None
         # Per-delta provenance timelines (PR 9): the batcher admits,
         # the WAL stamps durable, apply_delta stamps applied, the
         # subscription manager stamps notified.  A replica node swaps
@@ -365,26 +359,16 @@ class AlignmentService:
             mutate_store=True,
         )
         state.absorb(result)
-        # Net change log of this batch, O(frontier): the snapshot-delta
-        # merge when the run kept snapshots, a full diff otherwise.
-        # Stashed (with the pre-delta assignments, for the "previous"
-        # side of change events) and published by apply_delta once the
-        # WAL offset is recorded.
-        net = result.net_assignment_changes()
-        if net is None:
-            net = (
-                assignment_delta(self._assignment12, result.assignment12),
-                assignment_delta(self._assignment21, result.assignment21),
-            )
-        self._pending_changes = (net[0], net[1], self._assignment12, self._assignment21)
-        self._assignment12 = result.assignment12
-        self._assignment21 = result.assignment21
+        # Net (old, new) change log of this batch, as the maintainer
+        # recorded it — O(entities changed).  Published by apply_delta
+        # once the WAL offset is recorded.
+        self._pending_changes = result.net_assignment_changes()
         return DeltaReport(
             version=state.version,
             applied_add=effect.applied_add,
             applied_remove=effect.applied_remove,
             dirty=len(dirty),
-            passes=len(result.iterations),
+            passes=result.num_iterations,
             seconds=time.perf_counter() - started,
             converged=result.converged,
             pairs_touched=result.pairs_touched,
@@ -491,13 +475,13 @@ class AlignmentService:
     @staticmethod
     def _events_for(
         side: str,
-        changes: AssignmentDelta,
-        old: Assignment,
+        changes: ChangeLog,
         wal_offset: int,
         version: int,
     ) -> Iterable[ChangeEvent]:
-        for entity, match in sorted(changes.items(), key=lambda item: item[0].name):
-            previous = old.get(entity)
+        for entity, (previous, match) in sorted(
+            changes.items(), key=lambda item: item[0].name
+        ):
             yield ChangeEvent(
                 side=side,
                 entity=entity.name,
@@ -520,20 +504,16 @@ class AlignmentService:
         wal_offset = self.state.wal_offset
         events: List[ChangeEvent] = []
         if pending is not None:
-            changes12, changes21, old12, old21 = pending
+            changes12, changes21 = pending
             # Digest maintenance rides the same O(changes) log: XOR the
             # old pair hash out, the new one in, checkpoint at the
             # offset the batch is durable under.
-            self.digests.apply(changes12, old12, wal_offset)
+            self.digests.apply(changes12, wal_offset)
             self.query_index.apply_changes(
                 changes12, version=version, wal_offset=wal_offset
             )
-            events.extend(
-                self._events_for("left", changes12, old12, wal_offset, version)
-            )
-            events.extend(
-                self._events_for("right", changes21, old21, wal_offset, version)
-            )
+            events.extend(self._events_for("left", changes12, wal_offset, version))
+            events.extend(self._events_for("right", changes21, wal_offset, version))
         else:
             self.digests.advance(wal_offset)
             self.query_index.apply_changes({}, version=version, wal_offset=wal_offset)

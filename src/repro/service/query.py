@@ -7,7 +7,8 @@ paginated/top-k/neighborhood query surface (see ``docs/api.md``):
 
 * :class:`QueryIndex` — a sorted secondary index over the maximal
   assignment, built once at engine attach and then maintained
-  **incrementally** from the warm loop's net change log
+  **incrementally** from the ``(old, new)`` change log the
+  restricted-view maintainer records during each warm run
   (:meth:`repro.core.result.AlignmentResult.net_assignment_changes`):
   each applied delta folds O(frontier) row updates into the sorted
   order, so a paginated read is a binary search plus a slice — and it
@@ -232,17 +233,17 @@ class QueryIndex:
             self.wal_offset = wal_offset
 
     def apply_changes(self, changes, *, version: int, wal_offset: int) -> int:
-        """Fold one batch's net assignment delta into the sorted order.
+        """Fold one batch's net change log into the sorted order.
 
         ``changes`` maps a left :class:`~repro.rdf.terms.Resource` to
-        its new ``(counterpart, probability)`` or ``None`` (dropped) —
-        exactly the left half of
+        its ``(old, new)`` pair, each a ``(counterpart, probability)``
+        or ``None`` (unmatched) — exactly the left half of
         :meth:`~repro.core.result.AlignmentResult.net_assignment_changes`.
         Returns the number of row mutations performed.
         """
         mutations = 0
         with self._lock:
-            for left, match in changes.items():
+            for left, (_old, match) in changes.items():
                 name = left.name
                 old_key = self._by_left.pop(name, None)
                 if old_key is not None:

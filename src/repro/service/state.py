@@ -130,17 +130,40 @@ def save_state(state: AlignmentState, directory: Union[str, Path]) -> Path:
     # Write-then-rename: re-snapshotting an existing version (e.g. the
     # shutdown snapshot after a --snapshot-every save) must never leave
     # a truncated pickle behind the already-published LATEST pointer.
+    # Each tmp file is fsynced before its rename, and the directory
+    # after both: WAL compaction deletes the segments a snapshot covers
+    # as soon as this returns, so the snapshot must already be durable.
     path_tmp = path.with_suffix(".pkl.tmp")
     with path_tmp.open("wb") as stream:
         pickle.dump({"format": STATE_FORMAT, "state": state}, stream)
+        _fsync_file(stream)
     os.replace(path_tmp, path)
     # The pointer is written after the payload, and replaced atomically,
     # so readers never see a LATEST that references a half-written
     # snapshot — and a crash mid-update cannot leave a truncated marker.
     marker_tmp = directory / (LATEST_MARKER + ".tmp")
-    marker_tmp.write_text(f"{state.version}\n", encoding="utf-8")
+    with marker_tmp.open("w", encoding="utf-8") as stream:
+        stream.write(f"{state.version}\n")
+        _fsync_file(stream)
     os.replace(marker_tmp, directory / LATEST_MARKER)
+    _fsync_directory(directory)
     return path
+
+
+def _fsync_file(stream) -> None:
+    stream.flush()
+    os.fsync(stream.fileno())
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Make the renames into ``directory`` durable.  Unlike the WAL's
+    best-effort helper this raises: a failed save must stop the
+    compaction that would delete the log it covers."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def latest_version(directory: Union[str, Path]) -> Optional[int]:

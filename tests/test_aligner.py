@@ -118,6 +118,21 @@ class TestConfigOptions:
         assert result.iterations == []
         assert len(result.assignment12) == 2
 
+    def test_iteration_count_survives_without_snapshots(self, tiny_pair, tmp_path):
+        """The count is stored, not derived from the snapshots: the
+        summary and a save/load round trip both report it."""
+        from repro import load_result, save_result
+
+        left, right = tiny_pair
+        expected = align(left, right).num_iterations
+        assert expected >= 2
+        result = align(left, right, ParisConfig(keep_snapshots=False))
+        assert result.num_iterations == expected
+        assert f"{expected} iterations" in result.summary()
+        loaded = load_result(save_result(result, tmp_path / "out"))
+        assert loaded.num_iterations == expected
+        assert f"{expected} iterations" in loaded.summary()
+
     def test_max_iterations_respected(self, tiny_pair):
         left, right = tiny_pair
         result = align(
@@ -248,34 +263,6 @@ class TestSnapshots:
         # entry (b → x) of pass 3 is not in its delta.
         assert b not in snapshots[2].assignment12_delta
         assert snapshots[2].assignment12_delta[a] is None  # drop recorded
-
-    def test_capture_from_nonempty_base(self):
-        """A warm chain starts from the pre-delta assignment: the head
-        carries it as base and reconstruction includes it."""
-        from repro.core.matrix import SubsumptionMatrix
-        from repro.core.result import IterationSnapshot
-
-        base12 = {Resource("a"): (Resource("x"), 0.7)}
-        base21 = {Resource("x"): (Resource("a"), 0.7)}
-        current12 = {**base12, Resource("b"): (Resource("y"), 0.6)}
-        current21 = {**base21, Resource("y"): (Resource("b"), 0.6)}
-        head = IterationSnapshot.capture(
-            index=1,
-            duration_seconds=0.0,
-            change_fraction=None,
-            num_equivalences=2,
-            assignment12=current12,
-            assignment21=current21,
-            relations12=SubsumptionMatrix(),
-            relations21=SubsumptionMatrix(),
-            previous=None,
-            previous12=base12,
-            previous21=base21,
-        )
-        assert head.assignment12 == current12
-        assert head.assignment21 == current21
-        # Only the new entry is in the delta; the base entry is not.
-        assert list(head.assignment12_delta) == [Resource("b")]
 
     def test_cold_run_snapshot_chain_is_consistent(self, tiny_pair):
         """Reconstruction agrees with everything the loop computed from

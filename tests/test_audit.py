@@ -102,8 +102,7 @@ def corrupt_with_maintainer(service, scale=0.5):
         entity, (counterpart, probability) = next(iter(service._assignment12.items()))
         corrupted = probability * scale
         service.digests.apply(
-            {entity: (counterpart, corrupted)},
-            service._assignment12,
+            {entity: ((counterpart, probability), (counterpart, corrupted))},
             service.digests.wal_offset,
         )
         service._assignment12[entity] = (counterpart, corrupted)
@@ -215,6 +214,12 @@ def _materialize(raw):
     return delta
 
 
+def _change_log(delta, previous):
+    """An assignment delta as the ``entity -> (old, new)`` change log
+    against the assignment it applies to."""
+    return {entity: (previous.get(entity), match) for entity, match in delta.items()}
+
+
 class TestDigestMaintainerProperty:
     @given(steps=_steps)
     @settings(max_examples=40, deadline=None)
@@ -226,7 +231,7 @@ class TestDigestMaintainerProperty:
             delta = _materialize(raw)
             previous = dict(assignment)
             apply_assignment_delta(assignment, delta)
-            maintainer.apply(delta, previous, offset)
+            maintainer.apply(_change_log(delta, previous), offset)
             assert maintainer.digest == digest_assignment(assignment)
             assert maintainer.wal_offset == offset
             checkpoints.append((offset, maintainer.digest))
@@ -256,11 +261,11 @@ class TestDigestMaintainerProperty:
         maintainer = DigestMaintainer(assignment)
         delta = {entity: (Resource("right-0"), 0.9)}
         apply_assignment_delta(assignment, delta)
-        maintainer.apply(delta, {}, 5)
+        maintainer.apply(_change_log(delta, {}), 5)
         delta = {other: (Resource("right-1"), 0.8)}
         previous = dict(assignment)
         apply_assignment_delta(assignment, delta)
-        maintainer.apply(delta, previous, 9)
+        maintainer.apply(_change_log(delta, previous), 9)
         assert maintainer.offsets_touching([entity]) == [5]
         assert maintainer.offsets_touching([entity, other]) == [5, 9]
         assert maintainer.offsets_touching([Resource("never")]) == []

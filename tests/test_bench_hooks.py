@@ -17,7 +17,8 @@ import pytest
 from repro import ParisConfig
 from repro.core import aligner as aligner_module
 from repro.core.aligner import ParisAligner
-from repro.datasets.incremental import family_pair
+from repro.datasets.incremental import family_addition, family_pair, family_removal
+from repro.service import AlignmentService, Delta
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -68,3 +69,32 @@ def test_cold_align_calls_the_pass_hooks(monkeypatch, workers):
     assert len(relation_calls) == 2 * iterations
     if workers == 1:
         assert len(class_calls) == 2
+
+
+def test_apply_delta_calls_warm_align_once(monkeypatch):
+    """Each non-no-op delta goes through the patched
+    ``ParisAligner.warm_align`` exactly once (``core.warm_align``), and
+    the report's pass count (``core.warm_passes``) is the number of
+    frontiers that run scored; a no-op delta calls neither."""
+    service = AlignmentService.cold_start(*family_pair(4), ParisConfig())
+    warm_calls = count_calls(monkeypatch, ParisAligner, "warm_align")
+    frontier_calls = count_calls(monkeypatch, ParisAligner, "_score_frontier")
+    add1, add2 = family_addition(4, 1)
+    remove1, remove2 = family_removal([0])
+    deltas = [
+        Delta(add1=tuple(add1), add2=tuple(add2)),
+        Delta(add1=tuple(add1), add2=tuple(add2)),  # already applied: no-op
+        Delta(remove1=tuple(remove1), remove2=tuple(remove2)),
+    ]
+    expected_warm = 0
+    for delta in deltas:
+        passes_before = len(frontier_calls)
+        report = service.apply_delta(delta)
+        if report.applied_add or report.applied_remove:
+            expected_warm += 1
+            assert report.passes >= 1
+        else:
+            assert report.passes == 0
+        assert len(warm_calls) == expected_warm
+        assert len(frontier_calls) - passes_before == report.passes
+    assert expected_warm == 2

@@ -1,8 +1,7 @@
 """Unit and property tests for the production read path's data layer.
 
 Covers :mod:`repro.service.query` (secondary index, keyset cursors,
-ETags), the change-log exposure in :mod:`repro.core.result`
-(``merge_assignment_deltas`` / ``net_assignment_changes``), and
+ETags, folding the ``(old, new)`` change log), and
 :mod:`repro.service.subs` (event collapsing, long-poll dedup, webhook
 delivery with persisted cursors).
 
@@ -24,11 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.result import (
-    IterationSnapshot,
-    assignment_delta,
-    merge_assignment_deltas,
-)
 from repro.rdf.terms import Resource
 from repro.service.query import (
     ChangeEvent,
@@ -90,9 +84,9 @@ class TestQueryIndex:
         )
         mutations = index.apply_changes(
             {
-                Resource("b"): None,  # dropped
-                Resource("a"): (Resource("x"), 0.2),  # demoted
-                Resource("d"): (Resource("w"), 0.7),  # fresh
+                Resource("b"): ((Resource("y"), 0.5), None),  # dropped
+                Resource("a"): ((Resource("x"), 0.9), (Resource("x"), 0.2)),  # demoted
+                Resource("d"): (None, (Resource("w"), 0.7)),  # fresh
             },
             version=2,
             wal_offset=5,
@@ -146,52 +140,6 @@ class TestEtags:
         assert etag_matches("*", etag)
         assert not etag_matches('W/"w8"', etag)
         assert not etag_matches(None, etag)
-
-
-class TestChangeLogExposure:
-    def test_merge_drops_reverted_entities(self):
-        a, b = Resource("a"), Resource("b")
-        x, y = Resource("x"), Resource("y")
-        base = {a: (x, 0.5)}
-        deltas = [
-            {a: (x, 0.9), b: (y, 0.4)},  # pass 1
-            {a: (x, 0.5)},  # pass 2 reverts a to the base value
-        ]
-        assert merge_assignment_deltas(deltas, base) == {b: (y, 0.4)}
-
-    def test_net_changes_match_full_diff_over_a_snapshot_chain(self):
-        a, b, c = Resource("a"), Resource("b"), Resource("c")
-        x, y = Resource("x"), Resource("y")
-        base = {a: (x, 0.5), c: (y, 0.3)}
-        passes = [
-            {a: (x, 0.8), b: (y, 0.6)},
-            {a: (x, 0.8), b: (y, 0.7)},  # c dropped in pass 2
-        ]
-        previous = None
-        previous_assignment = dict(base)
-        chain = []
-        for index, assignment in enumerate(passes, start=1):
-            snapshot = IterationSnapshot.capture(
-                index=index,
-                duration_seconds=0.0,
-                change_fraction=None,
-                num_equivalences=len(assignment),
-                assignment12=assignment,
-                assignment21=assignment,
-                relations12=None,
-                relations21=None,
-                previous=previous,
-                previous12=previous_assignment,
-                previous21=previous_assignment,
-            )
-            chain.append(snapshot)
-            previous = snapshot
-            previous_assignment = dict(assignment)
-        merged = merge_assignment_deltas(
-            (snap.assignment12_delta for snap in chain), chain[0].base12
-        )
-        assert merged == assignment_delta(base, passes[-1])
-        assert merged == {a: (x, 0.8), b: (y, 0.7), c: None}
 
 
 def _event(entity, prob, prev_prob, version, counterpart="x", prev="x", side="left"):
@@ -330,6 +278,12 @@ class TestSubscriptionManager:
 
 # -- the cursor-stability property -----------------------------------------
 
+
+def _resource_match(match):
+    """(right name, prob) or None → the change log's Resource shape."""
+    return None if match is None else (Resource(match[0]), match[1])
+
+
 _names = st.integers(min_value=0, max_value=29).map(lambda i: f"e{i}")
 _probs = st.integers(min_value=1, max_value=100).map(lambda i: i / 100)
 _match = st.tuples(st.sampled_from(["x", "y", "z"]), _probs)
@@ -366,9 +320,8 @@ def test_page_walk_under_concurrent_deltas(base, batches, page_size, data):
             index.apply_changes(
                 {
                     Resource(name): (
-                        None
-                        if match is None
-                        else (Resource(match[0]), match[1])
+                        _resource_match(shadow.get(name)),
+                        _resource_match(match),
                     )
                     for name, match in batch.items()
                 },

@@ -275,6 +275,35 @@ class TestStateStore:
         assert load_state(tmp_path).version == 0
         assert not list(tmp_path.glob("*.tmp"))  # temp files cleaned up
 
+    def test_snapshot_is_durable_before_it_returns(self, tmp_path, monkeypatch):
+        """WAL compaction deletes what a snapshot covers as soon as
+        save_state returns: each file must be fsynced before it is
+        renamed into place, and the directory after the last rename."""
+        import os
+
+        left, right = family_pair(3)
+        service = AlignmentService.cold_start(left, right, ParisConfig())
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            return real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino, os.path.basename(dst)))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = save_state(service.state, tmp_path)
+        replaced = [event for event in events if event[0] == "replace"]
+        assert [event[2] for event in replaced] == [path.name, "LATEST"]
+        for event in replaced:
+            synced = events.index(("fsync", event[1]))
+            assert synced < events.index(event)
+        assert events[-1] == ("fsync", tmp_path.stat().st_ino)
+
     def test_load_missing_state_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_state(tmp_path)

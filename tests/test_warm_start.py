@@ -15,6 +15,7 @@ the stationarity mode itself.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro import ParisConfig, align
 from repro.core.incremental import IncrementalRelationPass, RestrictedViewMaintainer
+from repro.core.result import assignment_delta
 from repro.core.store import EquivalenceStore
 from repro.core.subrelations import subrelation_pass
 from repro.datasets.incremental import family_addition, family_pair, family_removal
@@ -129,74 +131,6 @@ class TestFamilyFixtureEquality:
     def test_empty_delta(self, service):
         report = service.apply_delta(Delta())
         assert report.applied_add == 0 and report.applied_remove == 0
-
-    def test_warm_snapshots_do_not_alias_live_matrices(self, service):
-        """Per-pass snapshots must capture the matrices at that pass,
-        not the live cache objects later passes mutate in place."""
-        from repro.service.delta import apply_delta as apply_raw
-
-        add1, add2 = family_addition(self.BASE, 1)
-        state = service.state
-        effect = apply_raw(state.ontology1, state.ontology2, Delta(
-            add1=tuple(add1), add2=tuple(add2)
-        ))
-        dirty, seed1, seed2, full = service._invalidate(effect, 1e-12)
-        result = service.aligner.warm_align(
-            state.store,
-            service._rel12,
-            service._rel21,
-            dirty_instances=dirty,
-            seed_nodes1=seed1,
-            seed_nodes2=seed2,
-            delta_statements1=effect.statements1,
-            delta_statements2=effect.statements2,
-        )
-        assert len(result.iterations) >= 2
-        first_pass = result.iterations[0]
-        assert first_pass.relations12 is not service._rel12.matrix
-        assert first_pass.relations21 is not service._rel21.matrix
-        # Frozen content: mutating the live cache afterwards must not
-        # change what the snapshot recorded.
-        before = {(a, b): p for a, b, p in first_pass.relations12.items()}
-        service._rel12.matrix.clear_sub(next(iter(before))[0])
-        assert {(a, b): p for a, b, p in first_pass.relations12.items()} == before
-
-    def test_warm_snapshots_store_frontier_sized_deltas(self, service):
-        """Warm-pass snapshots chain off the pre-delta assignment and
-        store only per-pass assignment *deltas* (O(frontier), not
-        O(matched) copies), while still reconstructing the full
-        assignments exactly."""
-        from repro.service.delta import apply_delta as apply_raw
-
-        add1, add2 = family_addition(self.BASE, 1)
-        state = service.state
-        pre12 = dict(service._assignment12)
-        effect = apply_raw(state.ontology1, state.ontology2, Delta(
-            add1=tuple(add1), add2=tuple(add2)
-        ))
-        dirty, seed1, seed2, _full = service._invalidate(effect, 1e-12)
-        result = service.aligner.warm_align(
-            state.store,
-            service._rel12,
-            service._rel21,
-            dirty_instances=dirty,
-            seed_nodes1=seed1,
-            seed_nodes2=seed2,
-            delta_statements1=effect.statements1,
-            delta_statements2=effect.statements2,
-        )
-        assert result.iterations
-        matched = len(result.assignment12)
-        assert matched > 100  # the base corpus is large...
-        head = result.iterations[0]
-        assert head.previous is None and head.base12 == pre12
-        for snapshot in result.iterations:
-            # ...but each pass's stored delta is frontier-sized.
-            assert len(snapshot.assignment12_delta) <= len(dirty) + 3
-            assert len(snapshot.assignment12_delta) < matched // 10
-        # Reconstruction still yields the full per-pass assignments.
-        assert result.iterations[-1].assignment12 == result.assignment12
-        assert result.iterations[-1].assignment21 == result.assignment21
 
 
 class TestFamilyFixtureWithClasses:
@@ -342,6 +276,131 @@ def test_warm_start_equals_cold_run_on_random_ontologies(seed, with_removal):
     # Eq. 17 matrices must equal the cold run's.
     assert_class_matrices_match(service.state.classes12, reference.classes12)
     assert_class_matrices_match(service.state.classes21, reference.classes21)
+
+
+# ----------------------------------------------------------------------
+# the per-delta change log (the maintainer's (old, new) rows)
+# ----------------------------------------------------------------------
+
+
+def _capture_results(service):
+    """Record every warm-align result the service's aligner returns."""
+    results = []
+    warm_align = service.aligner.warm_align
+
+    def recording(*args, **kwargs):
+        result = warm_align(*args, **kwargs)
+        results.append(result)
+        return result
+
+    service.aligner.warm_align = recording
+    return results
+
+
+_FAMILY_BASE = 6
+_family_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "remove"]),
+        st.integers(min_value=0, max_value=_FAMILY_BASE + 2),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@pytest.mark.parametrize("restrict", [True, False])
+@settings(max_examples=12, deadline=None)
+@given(ops=_family_ops)
+def test_change_log_is_exact(restrict, ops):
+    """Each batch's log equals the full diff of the assignments around
+    it, and its old side is the pre-batch assignment — with and without
+    the Section 5.2 restriction (the unrestricted warm pass reads the
+    store itself, and must still equal a cold realign)."""
+    config = ParisConfig(restrict_to_maximal_assignment=restrict)
+    service = AlignmentService.cold_start(*family_pair(_FAMILY_BASE), config)
+    results = _capture_results(service)
+    for op, index in ops:
+        if op == "add":
+            add1, add2 = family_addition(index, 1)
+            delta = Delta(add1=tuple(add1), add2=tuple(add2))
+        else:
+            remove1, remove2 = family_removal([index])
+            delta = Delta(remove1=tuple(remove1), remove2=tuple(remove2))
+        pre12 = dict(service._assignment12)
+        pre21 = dict(service._assignment21)
+        calls = len(results)
+        service.apply_delta(delta)
+        if len(results) == calls:  # no-op batch: nothing may move
+            assert service._assignment12 == pre12
+            assert service._assignment21 == pre21
+            continue
+        log12, log21 = results[-1].net_assignment_changes()
+        for log, pre, post in (
+            (log12, pre12, service._assignment12),
+            (log21, pre21, service._assignment21),
+        ):
+            assert {entity: new for entity, (_old, new) in log.items()} == (
+                assignment_delta(pre, post)
+            )
+            assert {entity: old for entity, (old, _new) in log.items()} == {
+                entity: pre.get(entity) for entity in log
+            }
+    reference = align(
+        service.state.ontology1,
+        service.state.ontology2,
+        replace(config, score_stationarity=True),
+    )
+    assert_stores_match(service.state.store, reference.instances)
+
+
+class TestWarmPathDoesNoWholeAssignmentWork:
+    """A delta is absorbed without copying, diffing or rebuilding either
+    maximal assignment: the change log is the maintainer's own."""
+
+    DELTA_FAMILY = 1000
+
+    @staticmethod
+    def _spy(monkeypatch):
+        from repro.core import result as result_module
+        from repro.core.result import IterationSnapshot
+        from repro.service import engine as engine_module
+
+        calls = []
+
+        def spy(owner, attribute):
+            original = getattr(owner, attribute)
+
+            def recording(*args, **kwargs):
+                calls.append(attribute)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attribute, recording)
+
+        spy(IterationSnapshot, "capture")
+        spy(result_module, "assignment_delta")
+        spy(engine_module, "assignment_delta")
+        spy(EquivalenceStore, "maximal_assignment")
+        spy(EquivalenceStore, "restricted_to_maximal")
+        spy(RestrictedViewMaintainer, "__init__")
+        return calls
+
+    def _log_sizes(self, monkeypatch, num_families):
+        service = AlignmentService.cold_start(*family_pair(num_families), ParisConfig())
+        results = _capture_results(service)
+        calls = self._spy(monkeypatch)
+        add1, add2 = family_addition(self.DELTA_FAMILY, 1)
+        report = service.apply_delta(Delta(add1=tuple(add1), add2=tuple(add2)))
+        monkeypatch.undo()
+        assert calls == []
+        assert report.passes == results[-1].num_iterations >= 1
+        log12, log21 = results[-1].net_assignment_changes()
+        return len(log12), len(log21), report.passes
+
+    def test_log_size_does_not_grow_with_the_corpus(self, monkeypatch):
+        small = self._log_sizes(monkeypatch, 50)
+        large = self._log_sizes(monkeypatch, 400)
+        assert small == large
+        assert small[:2] == (3, 3)  # the new family's three instances
 
 
 # ----------------------------------------------------------------------
